@@ -4,7 +4,9 @@
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
 multiplicity-free lists for all supported simple types, the root-geometry
 censuses, and (with --sweep) the exhaustive detector comparison on the
-7x7 grid. Exits nonzero if any check fails.
+7x7 grid plus a differential of the greedy detector against the old
+quadratic one on seeded random 3-D and 4-D sets. Exits nonzero if any
+check fails.
 """
 
 import argparse
@@ -33,7 +35,8 @@ def main() -> int:
     ap.add_argument("--howe-dim", type=int, default=128)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
-                    help="also run the exhaustive 7x7-grid detector sweep")
+                    help="also run the exhaustive 7x7-grid detector sweep "
+                         "and the greedy-vs-quadratic detector differential")
     args = ap.parse_args()
 
     all_ok = True
@@ -81,6 +84,22 @@ def main() -> int:
                 bad += 1
         all_ok &= check("detector vs forward oracle", bad == 0,
                         f"swept={n_swept} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
+        from oracles import (detect_rectangular_points_quadratic,
+                             random_symmetric_sets)
+
+        t = time.monotonic()
+        bad = 0
+        n_sets = 0
+        for dim in (3, 4):
+            for s in random_symmetric_sets(dim, 5000, seed=args.seed + dim):
+                n_sets += 1
+                if (detect_rectangular_points(s, dim)
+                        != detect_rectangular_points_quadratic(s, dim)):
+                    bad += 1
+        all_ok &= check("greedy vs quadratic detector", bad == 0,
+                        f"sets={n_sets} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 
     print(f"total {time.monotonic() - t0:.1f}s")

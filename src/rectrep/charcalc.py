@@ -100,8 +100,6 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
     if any(x < 0 for x in hw):
         raise ValueError(f"highest weight {hw} is not dominant")
     alg = _single_algebra(t)
-    m = t.rank
-    rho = (1,) * m
     roots = [(a, _gram_vec(t, a)) for a in positive_root_coords(t)]
     lam_rho = tuple(x + 1 for x in hw)
     top_norm = _ip(t, lam_rho, _gram_vec(t, lam_rho))

@@ -25,20 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import isqrt, prod
+from math import isqrt
 
 from .exactlin import (determinant, random_unimodular, rational_rref,
                        vec_dot, vec_neg)
-from .liealg import (SemisimpleAlgebra, SimpleType, Weight, ortho_coords,
+from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
-from .charcalc import (FormalCharacter, RepSpec, character_of,
-                       external_tensor, irreducible_character, is_faithful,
-                       is_multiplicity_free, restrict_to_factors,
-                       weyl_dimension)
-from .rectkit import (RectCertificate, WeightMultiset, detect_rectangular,
-                      detect_rectangular_points, from_character,
-                      is_hypercubic, lengths, transform, verify_certificate,
-                      with_ambient_padding)
+from .charcalc import (RepSpec, character_of, irreducible_character,
+                       is_faithful, is_multiplicity_free,
+                       restrict_to_factors, weyl_dimension)
+from .rectkit import (WeightMultiset, detect_rectangular,
+                      detect_rectangular_points, from_character, lengths,
+                      transform, with_ambient_padding)
 
 MAX_RANK = 4
 MAX_DIM = 256
@@ -219,6 +217,12 @@ class Decomposition:
 
     parts: tuple[tuple[tuple[int, ...], CatalogueItem], ...]
 
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """Sorted box lengths; a tensor product's box is the parts' product."""
+        return tuple(sorted(ln for _, item in self.parts
+                            for ln in catalogue_lengths(item)))
+
 
 @lru_cache(maxsize=None)
 def _item_support(item: CatalogueItem) -> frozenset:
@@ -351,9 +355,8 @@ def _type_groups(factors: tuple[SimpleType, ...]) -> list[list[int]]:
     return groups
 
 
-def _permute_coords(algebra: SemisimpleAlgebra, coords, perm):
-    """Coordinates with block perm[i] of the input moved into position i."""
-    ranges = algebra.block_ranges()
+def _permute_coords(ranges, coords, perm):
+    """Coordinates with input block ranges[perm[i]] moved into position i."""
     moved = []
     for i in range(len(perm)):
         rng = ranges[perm[i]]
@@ -383,10 +386,11 @@ def canonical_form(algebra: SemisimpleAlgebra, spec: RepSpec
                    key=lambda i: (algebra.factors[i], i))
     sorted_alg = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
     pairs = [(hw.coords, m) for hw, m in spec.summands]
+    ranges = algebra.block_ranges()
     best = None
     for perm in _permutations_within_groups(_type_groups(sorted_alg.factors)):
         full_perm = tuple(order[p] for p in perm)
-        cand = tuple(sorted((_permute_coords(algebra, c, full_perm), m)
+        cand = tuple(sorted((_permute_coords(ranges, c, full_perm), m)
                             for c, m in pairs))
         if best is None or cand < best:
             best = cand
@@ -442,14 +446,14 @@ def _single_factor_parts(t: SimpleType, budget: int):
 
     A part is a disjoint-support sum of multiplicity-free irreducibles
     (possibly including the trivial one) that acts faithfully and whose
-    character passes the box detector.  Returns (summands, dim, support)
-    triples sorted by dimension.
+    character passes the box detector.  Returns (summands, dim, support,
+    lengths) tuples sorted by dimension; `lengths` are the detected box
+    lengths padded to the rank of t.
 
     For A1 the only rectangular sums are single symmetric powers and
     pairs of adjacent ones: a symmetric union of two parity-separated
     progressions is an arithmetic progression only when the degrees are
-    adjacent.  The closed-form shortcut avoids quadratic detector calls
-    on long progressions; the detector still confirms every candidate.
+    adjacent.  The detector still confirms every candidate.
     """
     out = []
     if t.label == "A1":
@@ -466,7 +470,8 @@ def _single_factor_parts(t: SimpleType, budget: int):
             if cert is None:
                 raise AssertionError("A1 shortcut emitted a non-rectangular part")
             dim = sum(r + 1 for (r,) in summands)
-            out.append((tuple(sorted(summands)), dim, frozenset(support)))
+            out.append((tuple(sorted(summands)), dim, frozenset(support),
+                        lengths(with_ambient_padding(cert, 1))))
         out.sort(key=lambda x: (x[1], x[0]))
         return tuple(out)
     irreps = []
@@ -488,7 +493,8 @@ def _single_factor_parts(t: SimpleType, budget: int):
             if any(c != (0,) * t.rank for c in sub):
                 cert = detect_rectangular_points(merged, t.rank)
                 if cert is not None:
-                    out.append((tuple(sorted(sub)), dim + mass, merged))
+                    out.append((tuple(sorted(sub)), dim + mass, merged,
+                                lengths(with_ambient_padding(cert, t.rank))))
             extend(idx + 1, sub, merged, dim + mass)
 
     extend(0, [], frozenset(), 0)
@@ -516,7 +522,8 @@ def _a1_pair_parts(budget: int):
     each axis shows at least l distinct values.  Each class contributes
     r2 + 1 points to the column at x1 = 0 or 1, so in particular every
     usable degree is below l <= isqrt(budget).  The detector still
-    confirms every emitted part.
+    confirms every emitted part.  Returns (summands, dim, support,
+    lengths) tuples like `_single_factor_parts`.
     """
     lmax = isqrt(budget)
     if lmax < 2:
@@ -576,7 +583,8 @@ def _a1_pair_parts(budget: int):
             return
         cert = detect_rectangular_points(support, 2)
         if cert is not None:
-            out.append((tuple(sorted(chosen)), mass, frozenset(support)))
+            out.append((tuple(sorted(chosen)), mass, frozenset(support),
+                        lengths(with_ambient_padding(cert, 2))))
 
     for size in (2, 3, 4):
         for subset in combinations(range(4), size):
@@ -652,11 +660,14 @@ def _algebras_up_to(max_rank: int):
 
 
 def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
-                          ) -> list[tuple[SemisimpleAlgebra, RepSpec]]:
+                          ) -> list[tuple[SemisimpleAlgebra, RepSpec,
+                                          tuple[int, ...]]]:
     """All faithful multiplicity-free rectangular specs within bounds.
 
     One algebra per isomorphism class (sorted factor labels); one spec
     per orbit under permutation of equal factors, in canonical form.
+    Returns (algebra, spec, lengths) triples: the sorted box lengths,
+    padded to the algebra's rank, joined from the parts' certificates.
     """
     if not 1 <= max_rank <= MAX_RANK:
         raise ValueError(f"max_rank must be in [1, {MAX_RANK}]")
@@ -672,6 +683,7 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     results: dict = {}
     for algebra in algebras:
         k = len(algebra.factors)
+        ranges = algebra.block_ranges()
         a1 = [i for i, t in enumerate(algebra.factors) if t.label == "A1"]
         others = [i for i in range(k) if i not in a1]
         for singles, pairs in _a1_pairings(a1):
@@ -697,13 +709,12 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
             def assemble(pi, chosen, dim):
                 if pi == len(parts):
                     summands = [()]
-                    for part, (sub, _, _) in zip(parts, chosen):
+                    for part, (sub, _, _, _) in zip(parts, chosen):
                         summands = [s + (part, blocks) for s in summands
                                     for blocks in sub]
                     coords_list = []
                     for s in summands:
                         out = [0] * algebra.rank
-                        ranges = algebra.block_ranges()
                         for j in range(0, len(s), 2):
                             part, blocks = s[j], s[j + 1]
                             if len(part) == 1:
@@ -716,7 +727,13 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                         coords_list.append(tuple(out))
                     spec = RepSpec.make(algebra, [(c, 1) for c in coords_list])
                     alg_c, spec_c = canonical_form(algebra, spec)
-                    results[(alg_c, spec_c)] = (alg_c, spec_c)
+                    ls = tuple(sorted(ln for cand in chosen for ln in cand[3]))
+                    seen = results.get((alg_c, spec_c))
+                    if seen is not None and seen[2] != ls:
+                        raise AssertionError(
+                            f"{_spec_label(alg_c, spec_c)} assembled with "
+                            f"lengths {seen[2]} and {ls}")
+                    results[(alg_c, spec_c)] = (alg_c, spec_c, ls)
                     return
                 rest = suffix_min[pi + 1]
                 for cand in part_cands[pi]:
@@ -728,8 +745,8 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     return sorted(results.values(), key=_result_key)
 
 
-def _result_key(pair):
-    algebra, spec = pair
+def _result_key(entry):
+    algebra, spec = entry[0], entry[1]
     return (algebra.rank, algebra.label,
             tuple((hw.coords, m) for hw, m in spec.summands))
 
@@ -782,14 +799,15 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     """Compare brute-force enumeration against the catalogue closure.
 
     Two independently written generators must produce identical canonical
-    sets; every enumerated spec must decompose and reassemble; structural
+    sets; every enumerated spec must decompose and reassemble, with the
+    catalogue items' lengths equal to the enumerated ones; structural
     corollaries (power-of-two summand counts, even-length specs being
     irreducible A1 tensors) must hold.  `items` substitutes a tampered
     catalogue for negative-control testing.
     """
     enumerated = enumerate_rectangular(max_rank, max_dim)
     closure = catalogue_closure(max_rank, max_dim, items=items)
-    ekeys = {(a, s.summands): (a, s) for a, s in enumerated}
+    ekeys = {(a, s.summands): (a, s) for a, s, _ in enumerated}
     ckeys = {(a, s.summands): (a, s) for a, s in closure}
     missing = [_spec_label(*ekeys[k]) for k in sorted(ekeys.keys() - ckeys.keys(),
                                                       key=str)]
@@ -798,33 +816,35 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     roundtrip_failures = []
     corollary_violations = []
     rng_specs = []
-    for algebra, spec in enumerated:
+    for algebra, spec, ls in enumerated:
         try:
-            decompose(spec)
+            dec = decompose(spec)
         except (NotFaithfulError, NotRectangularError, CatalogueMismatchError) as e:
             roundtrip_failures.append(f"{_spec_label(algebra, spec)}: {e}")
+            continue
+        if dec.lengths != ls:
+            roundtrip_failures.append(
+                f"{_spec_label(algebra, spec)}: catalogue lengths "
+                f"{dec.lengths}, enumerated lengths {ls}")
             continue
         count = len(spec.summands)
         if count & (count - 1):
             corollary_violations.append(
                 f"{_spec_label(algebra, spec)}: {count} summands")
-        char = character_of(spec)
-        s = from_character(char)
-        cert = detect_rectangular(s)
-        ls = lengths(with_ambient_padding(cert, algebra.rank))
         if all(l % 2 == 0 for l in ls) and sum(1 for l in ls if l == 2) <= 1:
             pure_a1 = all(t.label == "A1" for t in algebra.factors)
             if not (pure_a1 and len(spec.summands) == 1):
                 corollary_violations.append(
                     f"{_spec_label(algebra, spec)}: even lengths {ls} "
                     "but not an irreducible A1 tensor")
-        rng_specs.append((algebra, spec, s, ls))
+        rng_specs.append((algebra, spec, ls))
     import random as _random
     rng = _random.Random(seed)
     spot_checks = 0
     spot_failures = []
     sample = rng_specs if len(rng_specs) <= 20 else rng.sample(rng_specs, 20)
-    for algebra, spec, s, ls in sample:
+    for algebra, spec, ls in sample:
+        s = from_character(character_of(spec))
         mat = random_unimodular(algebra.rank, rng.randrange(2**30))
         cert2 = detect_rectangular(transform(s, mat))
         spot_checks += 1

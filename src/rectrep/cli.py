@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .liealg import SemisimpleAlgebra, SimpleType, Weight
 from .charcalc import (AliasError, RepSpec, character_of, dual_weight,
-                       is_faithful, resolve_alias)
+                       resolve_alias)
 from .rectkit import (automorphism_order, detect_rectangular, from_character,
                       is_hypercubic, lengths, with_ambient_padding)
 from . import classify
@@ -363,11 +363,9 @@ def _cmd_decompose(args) -> int:
               [str(e)], args.pretty)
         return EXIT_DOMAIN
     parts = []
-    all_lengths = []
     for positions, item in dec.parts:
         part_alg, part_spec = catalogue_spec(item)
         ls = catalogue_lengths(item)
-        all_lengths.extend(ls)
         parts.append({
             "factors": [p + 1 for p in positions],
             "item": item,
@@ -376,7 +374,7 @@ def _cmd_decompose(args) -> int:
             "rep": render_spec(part_spec),
             "lengths": list(ls),
         })
-    total = tuple(sorted(all_lengths))
+    total = dec.lengths
     side = total[0] if total and len(set(total)) == 1 else None
     result = {
         "algebra": algebra.label,
@@ -409,9 +407,7 @@ def _cmd_enumerate(args) -> int:
     found = enumerate_rectangular(args.max_rank, args.max_dim,
                                   algebras=algebras)
     specs = []
-    for algebra, spec in found:
-        cert = detect_rectangular(from_character(character_of(spec)))
-        ls = lengths(with_ambient_padding(cert, algebra.rank))
+    for algebra, spec, ls in found:
         specs.append({"algebra": algebra.label, "rep": render_spec(spec),
                       "dimension": spec.dimension, "lengths": list(ls)})
     result = {"max_rank": args.max_rank, "max_dim": args.max_dim,

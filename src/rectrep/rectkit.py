@@ -2,13 +2,23 @@
 
 A multiset S is rectangular when some linear isomorphism of its ambient
 space carries it onto Z_{d_1} x ... x Z_{d_n}, where Z_d is the
-(d+1)-term progression {-d, -d+2, ..., d}.  Detection works as follows:
-a box image is pinned down by any hull vertex together with its edge
-generators, and inside D = S - v the edge generators are exactly the
-additively irreducible elements (in the standard box {0..d_1} x ... the
-irreducibles are the unit vectors, and a linear bijection preserves
-additive structure).  So: take v = lexicographic minimum (always a hull
-vertex), extract the irreducibles of D, and try to rebuild the box.
+(d+1)-term progression {-d, -d+2, ..., d}.  A box image is pinned down
+by any hull vertex together with its edge generators.  Detection takes
+v = lexicographic minimum of S (always a hull vertex), so that every
+element of D = S - v is lex >= 0, and finds the edges in one greedy pass:
+walking the nonzero elements of D in increasing lex order, u is an edge
+unless u - e lies in D for some edge e found earlier.  Each point costs
+at most rank set lookups.
+
+Why the pass is exact.  In a box image D = {sum c_i e_i : 0 <= c_i <= d_i}
+with independent, lex-positive e_i, and its additively irreducible
+elements are exactly the e_i.  A reducible u = sum c_i e_i has some
+c_j > 0 with u - e_j in D; lex order is translation-invariant, so e_j
+is lex-smaller than u and was found first.  An irreducible u has no
+decomposition at all.  So on a box image the pass returns exactly the
+edges.  On any other input the edge set it returns may be wrong, but
+then the rank, point-count, box-rebuild and centre checks that follow
+reject it: passing them makes S a centred box image by construction.
 Central symmetry S = -S is checked separately because the isomorphism in
 the definition is linear, not affine; for any true box image it holds
 automatically (the centroid of the box is the origin).
@@ -26,10 +36,10 @@ cleared into the `denominator` field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .exactlin import IntVector, mat_vec, rank, vec_add, vec_sub
 from .charcalc import FormalCharacter
@@ -170,20 +180,16 @@ def detect_rectangular_points(points, dim: int) -> RectCertificate | None:
         return RectCertificate(zero, (), (), 0)
     v = min(pts)
     dset = {vec_sub(p, v) for p in pts}
-    nonzero = [u for u in dset if u != zero]
+    nonzero = sorted(u for u in dset if u != zero)
     edges = []
     for u in nonzero:
-        for a in nonzero:
-            if a != u and vec_sub(u, a) in dset:
-                break
-        else:
+        if not any(vec_sub(u, e) in dset for e in edges):
             edges.append(u)
             if len(edges) > dim:
                 return None
     k = len(edges)
     if k == 0 or rank(edges) != k or rank(nonzero) != k:
         return None
-    edges.sort()
     degrees = []
     for u in edges:
         c = 1

@@ -3,7 +3,9 @@
 Each oracle re-derives an answer by a route disjoint from the library
 implementation: box images are enumerated forward (never detected),
 rectangular specs are enumerated with no structural pruning, and box
-symmetry groups are counted by exhausting integer matrices.
+symmetry groups are counted by exhausting integer matrices.  The
+quadratic box detector the library used before its greedy lex pass is
+kept here as the reference for a differential test.
 """
 
 from __future__ import annotations
@@ -11,12 +13,104 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from random import Random
 
-from rectrep import (SemisimpleAlgebra, canonical_form, character_of,
-                     detect_rectangular_points, is_faithful,
+from rectrep import (RectCertificate, SemisimpleAlgebra, canonical_form,
+                     character_of, detect_rectangular_points, is_faithful,
                      irreducible_character, multiplicity_free_irreps,
                      weyl_dimension)
 from rectrep.charcalc import RepSpec
+from rectrep.exactlin import mat_vec, random_unimodular, rank, vec_sub
+
+
+def detect_rectangular_points_quadratic(points, dim: int):
+    """The box detector by an all-pairs irreducibility scan, O(N^2).
+
+    Same contract as `detect_rectangular_points`: the edges are the
+    additively irreducible elements of D = S - min(S), each found by
+    testing every other nonzero element of D as a summand.
+    """
+    pts = set(points)
+    if not pts:
+        return None
+    zero = (0,) * dim
+    for p in pts:
+        if tuple(-x for x in p) not in pts:
+            return None
+    if len(pts) == 1:
+        return RectCertificate(zero, (), (), 0)
+    v = min(pts)
+    dset = {vec_sub(p, v) for p in pts}
+    nonzero = [u for u in dset if u != zero]
+    edges = []
+    for u in nonzero:
+        for a in nonzero:
+            if a != u and vec_sub(u, a) in dset:
+                break
+        else:
+            edges.append(u)
+            if len(edges) > dim:
+                return None
+    k = len(edges)
+    if k == 0 or rank(edges) != k or rank(nonzero) != k:
+        return None
+    edges.sort()
+    degrees = []
+    for u in edges:
+        c = 1
+        while tuple((c + 1) * x for x in u) in dset:
+            c += 1
+        degrees.append(c)
+    if prod(d + 1 for d in degrees) != len(pts):
+        return None
+    for combo in product(*(range(d + 1) for d in degrees)):
+        p = tuple(sum(c * u[j] for c, u in zip(combo, edges))
+                  for j in range(dim))
+        if p not in dset:
+            return None
+    center = list(2 * x for x in v)
+    for u, d in zip(edges, degrees):
+        for j in range(dim):
+            center[j] += d * u[j]
+    if any(center):
+        return None
+    return RectCertificate(v, tuple(edges), tuple(degrees), 0)
+
+
+def random_symmetric_sets(dim: int, count: int, seed: int):
+    """Seeded centrally symmetric point sets in `dim` dimensions.
+
+    Cycles through four kinds: unimodular images of centred boxes (all
+    rectangular), the same with one antipodal pair removed or one added
+    (near misses), and random symmetric clouds.  Yields frozensets.
+    """
+    rng = Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 3:
+            pts = set()
+            if rng.random() < 0.5:
+                pts.add((0,) * dim)
+            for _ in range(rng.randint(1, 12)):
+                p = tuple(rng.randint(-4, 4) for _ in range(dim))
+                pts.add(p)
+                pts.add(tuple(-x for x in p))
+            yield frozenset(pts)
+            continue
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, dim))]
+        degrees += [0] * (dim - len(degrees))
+        m = random_unimodular(dim, rng.randrange(2**30))
+        pts = {mat_vec(m, p) for p in product(*(range(-d, d + 1, 2)
+                                                for d in degrees))}
+        if kind == 1 and len(pts) > 1:
+            p = rng.choice(sorted(pts))
+            pts.discard(p)
+            pts.discard(tuple(-x for x in p))
+        elif kind == 2:
+            p = tuple(rng.randint(-6, 6) for _ in range(dim))
+            pts.add(p)
+            pts.add(tuple(-x for x in p))
+        yield frozenset(pts)
 
 
 def grid_rect_oracle(half: int = 3, max_points: int = 12):

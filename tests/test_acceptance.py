@@ -150,7 +150,7 @@ def a3_enumeration():
 
 def test_a3_has_a_unique_rectangular_spec(a3_enumeration):
     assert len(a3_enumeration) == 1
-    alg, spec = a3_enumeration[0]
+    alg, spec, _ = a3_enumeration[0]
     assert alg.label == "A3"
     assert {w.coords: m for w, m in spec.summands} == {(1, 0, 0): 1,
                                                        (0, 0, 1): 1}
@@ -248,7 +248,7 @@ def test_root_geometry_censuses():
 
 # 8 ----------------------------------------------------------------------
 def _assert_corollaries(found):
-    for alg, spec in found:
+    for alg, spec, _ in found:
         count = sum(m for _, m in spec.summands)
         assert count & (count - 1) == 0, (alg.label, spec)  # power of two
         cert = detect_rectangular(from_character(character_of(spec)))

@@ -7,7 +7,8 @@ from rectrep import (CatalogueItem, NotFaithfulError, NotRectangularError,
                      from_character, is_faithful, item_dimension, item_rank,
                      iter_catalogue_items, lengths, long_roots_3space_census,
                      multiplicity_free_irreps, roots_in_plane_census,
-                     verify_classification, verify_howe, weyl_dimension)
+                     verify_classification, verify_howe, weyl_dimension,
+                     with_ambient_padding)
 from rectrep.charcalc import RepSpec
 from rectrep.liealg import SimpleType
 
@@ -83,6 +84,7 @@ def test_decompose_tensor_of_two_items():
     dec = decompose(spec)
     by_item = {item.kind: positions for positions, item in dec.parts}
     assert by_item == {"D2Spin": (0, 2), "B2StdSpin": (1,)}
+    assert dec.lengths == (2, 2, 3, 3)
 
 
 def test_decompose_pairs_up_a1_quadruple():
@@ -115,6 +117,7 @@ def test_decompose_mixed_sym_factors():
     dec = decompose(spec)
     items = sorted((positions, item.label) for positions, item in dec.parts)
     assert items == [((0,), "A1Sym(3)"), ((1,), "A1Sym(2)")]
+    assert dec.lengths == (3, 4)
 
 
 def test_decompose_rejections():
@@ -178,8 +181,20 @@ def test_enumerate_matches_prune_free_oracle(label, max_dim):
     # the production search prunes aggressively; the oracle does not
     alg = SemisimpleAlgebra.parse(label)
     raw = prune_free_rectangular(alg, max_dim)
-    got = set(enumerate_rectangular(alg.rank, max_dim, algebras=[alg]))
+    got = {(a, s) for a, s, _ in enumerate_rectangular(alg.rank, max_dim,
+                                                        algebras=[alg])}
     assert got == raw
+
+
+@pytest.mark.parametrize("max_rank,max_dim,algebras", [
+    (2, 64, None), (3, 128, ["A1*A1*A1"])])
+def test_enumerated_lengths_match_detection(max_rank, max_dim, algebras):
+    found = enumerate_rectangular(max_rank, max_dim, algebras=algebras)
+    assert found
+    for alg, spec, ls in found:
+        cert = detect_rectangular(from_character(character_of(spec)))
+        assert ls == lengths(with_ambient_padding(cert, alg.rank)), (
+            alg.label, spec)
 
 
 def test_closure_contains_singletons_and_tensors():

@@ -13,8 +13,9 @@ from rectrep import (RectCertificate, WeightMultiset, automorphism_order,
                      with_ambient_padding)
 from rectrep.exactlin import mat_vec, random_unimodular
 
-from oracles import (box_symmetries_bruteforce, grid_rect_oracle,
-                     symmetric_sets)
+from oracles import (box_symmetries_bruteforce,
+                     detect_rectangular_points_quadratic, grid_rect_oracle,
+                     random_symmetric_sets, symmetric_sets)
 
 
 def standard_box(degrees):
@@ -152,3 +153,25 @@ def test_detector_agrees_with_oracle_small_window():
         assert (cert is not None) == (s in sets), s
         if cert is not None:
             assert lengths(cert) == tuple(sorted(lengths_of[s])), s
+
+
+def test_greedy_detector_matches_quadratic_small_window():
+    accepted = 0
+    for s in symmetric_sets(half=2, max_points=8):
+        cert = detect_rectangular_points(s, 2)
+        assert cert == detect_rectangular_points_quadratic(s, 2), sorted(s)
+        accepted += cert is not None
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_greedy_detector_matches_quadratic_random(dim):
+    accepted = rejected = 0
+    for s in random_symmetric_sets(dim, 400, seed=dim):
+        cert = detect_rectangular_points(s, dim)
+        assert cert == detect_rectangular_points_quadratic(s, dim), sorted(s)
+        if cert is None:
+            rejected += 1
+        else:
+            accepted += 1
+    assert accepted >= 100 and rejected >= 100
