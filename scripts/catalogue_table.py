@@ -6,9 +6,9 @@ algebra, representation, dimension, and the multiset of lengths.
 """
 
 import argparse
+from math import prod
 
-from rectrep import (catalogue_lengths, catalogue_spec, item_dimension,
-                     iter_catalogue_items)
+from rectrep import catalogue_lengths, catalogue_spec, iter_catalogue_items
 from rectrep.cli import render_spec
 
 
@@ -21,12 +21,12 @@ def main() -> None:
     rows = []
     for item in iter_catalogue_items(args.max_rank, args.max_dim):
         alg, spec = catalogue_spec(item)
-        rows.append((item.label, alg.label, render_spec(spec),
-                     item_dimension(item),
-                     "x".join(map(str, sorted(catalogue_lengths(item))))))
-    widths = [max(len(str(r[i])) for r in rows) for i in range(5)]
+        ls = catalogue_lengths(item)
+        rows.append((item.label, alg.label, render_spec(spec), prod(ls),
+                     "x".join(map(str, sorted(ls)))))
     header = ("item", "algebra", "representation", "dim", "lengths")
-    widths = [max(w, len(h)) for w, h in zip(widths, header)]
+    widths = [max([len(h)] + [len(str(r[i])) for r in rows])
+              for i, h in enumerate(header)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     print(fmt.format(*header))
     for r in rows:

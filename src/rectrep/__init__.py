@@ -23,8 +23,7 @@ from .rectkit import (RectCertificate, WeightMultiset, automorphism_order,
 from .classify import (CatalogueItem, CatalogueMismatchError, Decomposition,
                        NotFaithfulError, NotRectangularError, canonical_form,
                        catalogue_closure, catalogue_lengths, catalogue_spec,
-                       decompose, enumerate_rectangular, item_dimension,
-                       item_rank, iter_catalogue_items,
+                       decompose, enumerate_rectangular, iter_catalogue_items,
                        long_roots_3space_census, multiplicity_free_irreps,
                        roots_in_plane_census, verify_classification,
                        verify_howe)
@@ -46,8 +45,7 @@ __all__ = [
     "NotFaithfulError", "NotRectangularError", "canonical_form",
     "catalogue_closure",
     "catalogue_lengths", "catalogue_spec", "decompose",
-    "enumerate_rectangular", "item_dimension", "item_rank",
-    "iter_catalogue_items",
+    "enumerate_rectangular", "iter_catalogue_items",
     "long_roots_3space_census", "multiplicity_free_irreps",
     "roots_in_plane_census", "verify_classification", "verify_howe",
     "__version__",

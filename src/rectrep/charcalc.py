@@ -147,10 +147,6 @@ class FormalCharacter:
     def support(self) -> frozenset[IntVector]:
         return frozenset(self.entries)
 
-    def weight_items(self):
-        for coords, mult in sorted(self.entries.items()):
-            yield Weight(self.algebra, coords), mult
-
 
 @dataclass(frozen=True)
 class RepSpec:

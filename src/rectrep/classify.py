@@ -21,11 +21,13 @@ a prune-free oracle in the test suite at small bounds.
 
 from __future__ import annotations
 
+import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import isqrt
+from itertools import combinations, permutations, product
+from math import gcd, isqrt, prod
 
 from .exactlin import (determinant, random_unimodular, rational_rref,
                        vec_dot, vec_neg)
@@ -58,8 +60,58 @@ class CatalogueMismatchError(RuntimeError):
     """Decomposition could not be reassembled from catalogue items."""
 
 
-_KINDS = ("A1Sym", "A1PairSym", "D2Spin", "B2StdSpin", "BmSpin",
-          "A3StdDual", "D4Spin", "D4StdSpinPlus", "D4StdSpinMinus", "DmSpin")
+def _fw(m: int, i: int) -> tuple[int, ...]:
+    """The i-th fundamental weight of a rank-m factor (zero-based)."""
+    return tuple(int(j == i) for j in range(m))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One catalogue kind; each function takes the item's parameters.
+
+    `algebra` is the factor algebra's label, `weights` the summands'
+    highest weights (each with multiplicity 1) and `lengths` the box
+    lengths, padded to the rank: the item's dimension is their product
+    and its rank their number.  A parameterised kind counts up from
+    `first`, every parameter by one; its rank and dimension grow with it.
+    """
+
+    algebra: Callable[..., str]
+    weights: Callable[..., list]
+    lengths: Callable[..., tuple[int, ...]]
+    first: tuple[int, ...] = ()
+    valid: Callable[..., bool] = lambda: True
+    need: str = "takes no parameters"
+
+
+# One record per kind (algebra, weights, lengths, then the parameters), in
+# the order iter_catalogue_items yields them.
+_CATALOGUE = {
+    "A1Sym": _Kind(lambda r: "A1", lambda r: [(r,)], lambda r: (r + 1,),
+                   first=(1,), valid=lambda r: r >= 1,
+                   need="needs one parameter r >= 1"),
+    "A1PairSym": _Kind(lambda r1, r2: "A1", lambda r1, r2: [(r1,), (r2,)],
+                       lambda r1, r2: (r1 + r2 + 2,), first=(1, 0),
+                       valid=lambda r1, r2: (abs(r1 - r2) == 1
+                                             and min(r1, r2) >= 0),
+                       need="needs r1, r2 >= 0 with |r1-r2| = 1"),
+    "D2Spin": _Kind(lambda: "A1*A1", lambda: [(1, 0), (0, 1)], lambda: (2, 2)),
+    "B2StdSpin": _Kind(lambda: "B2", lambda: [(1, 0), (0, 1)], lambda: (3, 3)),
+    "BmSpin": _Kind(lambda m: f"B{m}", lambda m: [_fw(m, m - 1)],
+                    lambda m: (2,) * m, first=(2,), valid=lambda m: m >= 2,
+                    need="needs one parameter m >= 2"),
+    "A3StdDual": _Kind(lambda: "A3", lambda: [_fw(3, 0), _fw(3, 2)],
+                       lambda: (2, 2, 2)),
+    "D4Spin": _Kind(lambda: "D4", lambda: [_fw(4, 2), _fw(4, 3)],
+                    lambda: (2, 2, 2, 2)),
+    "D4StdSpinPlus": _Kind(lambda: "D4", lambda: [_fw(4, 0), _fw(4, 3)],
+                           lambda: (2, 2, 2, 2)),
+    "D4StdSpinMinus": _Kind(lambda: "D4", lambda: [_fw(4, 0), _fw(4, 2)],
+                            lambda: (2, 2, 2, 2)),
+    "DmSpin": _Kind(lambda m: f"D{m}", lambda m: [_fw(m, m - 2), _fw(m, m - 1)],
+                    lambda m: (2,) * m, first=(5,), valid=lambda m: m >= 5,
+                    need="needs one parameter m >= 5"),
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -69,24 +121,13 @@ class CatalogueItem:
 
     def __post_init__(self):
         k, p = self.kind, self.params
-        if k not in _KINDS:
+        kind = _CATALOGUE.get(k)
+        if kind is None:
             raise ValueError(f"unknown catalogue kind {k!r}")
-        if k == "A1Sym":
-            if len(p) != 1 or p[0] < 1:
-                raise ValueError("A1Sym needs one parameter r >= 1")
-        elif k == "A1PairSym":
-            if len(p) != 2 or abs(p[0] - p[1]) != 1 or min(p) < 0:
-                raise ValueError("A1PairSym needs r1, r2 >= 0 with |r1-r2| = 1")
-            if p[0] < p[1]:
-                object.__setattr__(self, "params", (p[1], p[0]))
-        elif k == "BmSpin":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("BmSpin needs one parameter m >= 2")
-        elif k == "DmSpin":
-            if len(p) != 1 or p[0] < 5:
-                raise ValueError("DmSpin needs one parameter m >= 5")
-        elif p:
-            raise ValueError(f"{k} takes no parameters")
+        if len(p) != len(kind.first) or not kind.valid(*p):
+            raise ValueError(f"{k} {kind.need}")
+        if k == "A1PairSym" and p[0] < p[1]:
+            object.__setattr__(self, "params", (p[1], p[0]))
 
     @property
     def label(self) -> str:
@@ -96,115 +137,32 @@ class CatalogueItem:
 
 
 def catalogue_spec(item: CatalogueItem) -> tuple[SemisimpleAlgebra, RepSpec]:
-    k, p = item.kind, item.params
-    if k == "A1Sym":
-        alg = SemisimpleAlgebra((SimpleType("A", 1),))
-        return alg, RepSpec.make(alg, [((p[0],), 1)])
-    if k == "A1PairSym":
-        alg = SemisimpleAlgebra((SimpleType("A", 1),))
-        return alg, RepSpec.make(alg, [((p[0],), 1), ((p[1],), 1)])
-    if k == "D2Spin":
-        alg = SemisimpleAlgebra((SimpleType("A", 1), SimpleType("A", 1)))
-        return alg, RepSpec.make(alg, [((1, 0), 1), ((0, 1), 1)])
-    if k == "B2StdSpin":
-        alg = SemisimpleAlgebra((SimpleType("B", 2),))
-        return alg, RepSpec.make(alg, [((1, 0), 1), ((0, 1), 1)])
-    if k == "BmSpin":
-        m = p[0]
-        alg = SemisimpleAlgebra((SimpleType("B", m),))
-        spin = tuple(int(i == m - 1) for i in range(m))
-        return alg, RepSpec.make(alg, [(spin, 1)])
-    if k == "A3StdDual":
-        alg = SemisimpleAlgebra((SimpleType("A", 3),))
-        return alg, RepSpec.make(alg, [((1, 0, 0), 1), ((0, 0, 1), 1)])
-    m = {"D4Spin": 4, "D4StdSpinPlus": 4, "D4StdSpinMinus": 4}.get(k, p[0] if p else 4)
-    alg = SemisimpleAlgebra((SimpleType("D", m),))
-    minus = tuple(int(i == m - 2) for i in range(m))
-    plus = tuple(int(i == m - 1) for i in range(m))
-    std = tuple(int(i == 0) for i in range(m))
-    if k in ("D4Spin", "DmSpin"):
-        return alg, RepSpec.make(alg, [(minus, 1), (plus, 1)])
-    if k == "D4StdSpinPlus":
-        return alg, RepSpec.make(alg, [(std, 1), (plus, 1)])
-    return alg, RepSpec.make(alg, [(std, 1), (minus, 1)])
+    kind = _CATALOGUE[item.kind]
+    alg = SemisimpleAlgebra.parse(kind.algebra(*item.params))
+    return alg, RepSpec.make(alg, [(w, 1) for w in kind.weights(*item.params)])
 
 
 def catalogue_lengths(item: CatalogueItem) -> tuple[int, ...]:
     """Lengths from the closed-form table (cross-checked against detection)."""
-    k, p = item.kind, item.params
-    if k == "A1Sym":
-        return (p[0] + 1,)
-    if k == "A1PairSym":
-        return (p[0] + p[1] + 2,)
-    if k == "D2Spin":
-        return (2, 2)
-    if k == "B2StdSpin":
-        return (3, 3)
-    if k == "BmSpin":
-        return (2,) * p[0]
-    if k == "A3StdDual":
-        return (2, 2, 2)
-    if k == "DmSpin":
-        return (2,) * p[0]
-    return (2, 2, 2, 2)
+    return _CATALOGUE[item.kind].lengths(*item.params)
 
 
-def item_dimension(item: CatalogueItem) -> int:
-    k, p = item.kind, item.params
-    if k == "A1Sym":
-        return p[0] + 1
-    if k == "A1PairSym":
-        return p[0] + p[1] + 2
-    if k == "D2Spin":
-        return 4
-    if k == "B2StdSpin":
-        return 9
-    if k == "A3StdDual":
-        return 8
-    if k in ("BmSpin", "DmSpin"):
-        return 2 ** p[0]
-    return 16
-
-
-def item_rank(item: CatalogueItem) -> int:
-    k, p = item.kind, item.params
-    if k in ("A1Sym", "A1PairSym"):
-        return 1
-    if k in ("D2Spin", "B2StdSpin"):
-        return 2
-    if k == "A3StdDual":
-        return 3
-    if k in ("BmSpin", "DmSpin"):
-        return p[0]
-    return 4
+def _catalogue_entries(max_rank: int, max_dim: int):
+    """(kind, params, lengths) of each catalogue item within the bounds."""
+    for k, kind in _CATALOGUE.items():
+        p = kind.first
+        while p is not None:
+            ls = kind.lengths(*p)
+            if len(ls) > max_rank or prod(ls) > max_dim:
+                break
+            yield k, p, ls
+            p = tuple(x + 1 for x in p) if p else None
 
 
 def iter_catalogue_items(max_rank: int, max_dim: int):
     """All catalogue items within the bounds, in a fixed order."""
-    for r in range(1, max_dim):
-        yield CatalogueItem("A1Sym", (r,))
-    r2 = 0
-    while 2 * r2 + 3 <= max_dim:
-        yield CatalogueItem("A1PairSym", (r2 + 1, r2))
-        r2 += 1
-    if max_rank >= 2 and max_dim >= 4:
-        yield CatalogueItem("D2Spin")
-    if max_rank >= 2 and max_dim >= 9:
-        yield CatalogueItem("B2StdSpin")
-    m = 2
-    while m <= max_rank and 2**m <= max_dim:
-        yield CatalogueItem("BmSpin", (m,))
-        m += 1
-    if max_rank >= 3 and max_dim >= 8:
-        yield CatalogueItem("A3StdDual")
-    if max_rank >= 4 and max_dim >= 16:
-        yield CatalogueItem("D4Spin")
-        yield CatalogueItem("D4StdSpinPlus")
-        yield CatalogueItem("D4StdSpinMinus")
-    m = 5
-    while m <= max_rank and 2**m <= max_dim:
-        yield CatalogueItem("DmSpin", (m,))
-        m += 1
+    for k, p, _ in _catalogue_entries(max_rank, max_dim):
+        yield CatalogueItem(k, p)
 
 
 @dataclass(frozen=True)
@@ -230,30 +188,29 @@ def _item_support(item: CatalogueItem) -> frozenset:
     return character_of(spec).support
 
 
-def _single_factor_items(t: SimpleType, mass: int):
-    """Catalogue items over one simple factor with the given dimension."""
-    out = []
-    if t.label == "A1":
-        if mass >= 2:
-            out.append(CatalogueItem("A1Sym", (mass - 1,)))
-        if mass >= 3 and mass % 2 == 1:
-            r1 = (mass - 1) // 2
-            out.append(CatalogueItem("A1PairSym", (r1, r1 - 1)))
-    elif t.family == "B":
-        if t.rank == 2 and mass == 9:
-            out.append(CatalogueItem("B2StdSpin"))
-        if mass == 2**t.rank:
-            out.append(CatalogueItem("BmSpin", (t.rank,)))
-    elif t.label == "A3":
-        if mass == 8:
-            out.append(CatalogueItem("A3StdDual"))
-    elif t.family == "D":
-        if t.rank == 4 and mass == 16:
-            out.extend([CatalogueItem("D4Spin"), CatalogueItem("D4StdSpinPlus"),
-                        CatalogueItem("D4StdSpinMinus")])
-        elif t.rank >= 5 and mass == 2**t.rank:
-            out.append(CatalogueItem("DmSpin", (t.rank,)))
-    return out
+@lru_cache(maxsize=None)
+def _single_factor_items(t: SimpleType, mass: int) -> tuple[CatalogueItem, ...]:
+    """Catalogue items over the one simple factor t with dimension mass."""
+    return tuple(CatalogueItem(k, p)
+                 for k, p, ls in _catalogue_entries(t.rank, mass)
+                 if prod(ls) == mass and _CATALOGUE[k].algebra(*p) == t.label)
+
+
+def _tensor_coords(algebra: SemisimpleAlgebra, parts) -> dict:
+    """External tensor product of part blocks, in the algebra's coordinates.
+
+    Each part is (factor positions, {block: mult}), a block holding the
+    coordinates of those factors in the order given; the positions of
+    all parts partition the factors.  Returns {coords: mult}.
+    """
+    ranges = algebra.block_ranges()
+    # the concatenated blocks hold algebra coordinate layout[j] at place j
+    layout = [i for positions, _ in parts for p in positions for i in ranges[p]]
+    order = sorted(range(len(layout)), key=layout.__getitem__)
+    out: dict[tuple[int, ...], int] = {(): 1}
+    for _, blocks in parts:
+        out = {u + v: mu * mv for u, mu in out.items() for v, mv in blocks.items()}
+    return {tuple(w[i] for i in order): m for w, m in out.items()}
 
 
 def _rect_reason(s: WeightMultiset) -> str:
@@ -318,29 +275,10 @@ def decompose(spec: RepSpec) -> Decomposition:
             raise CatalogueMismatchError(
                 f"A1 factor at position {j} pairs with no other factor")
     parts = tuple(sorted(singles + pairs))
-    rebuilt: dict[tuple[int, ...], int] = {(): 1}
-    layout: list[int] = []
-    for positions, item in parts:
-        _, part_spec = catalogue_spec(item)
-        part_char = character_of(part_spec)
-        rebuilt = {u + v: mu * mv for u, mu in rebuilt.items()
-                   for v, mv in part_char.entries.items()}
-        for pos in positions:
-            layout.append(pos)
-    ranges = spec.algebra.block_ranges()
-    order = []
-    offset = 0
-    for pos in layout:
-        order.append((ranges[pos].start, offset, factors[pos].rank))
-        offset += factors[pos].rank
-    rearranged: dict[tuple[int, ...], int] = {}
-    n = spec.algebra.rank
-    for w, m in rebuilt.items():
-        out = [0] * n
-        for start, off, r in order:
-            out[start:start + r] = w[off:off + r]
-        rearranged[tuple(out)] = m
-    if rearranged != full.entries:
+    rebuilt = _tensor_coords(spec.algebra, [
+        (positions, character_of(catalogue_spec(item)[1]).entries)
+        for positions, item in parts])
+    if rebuilt != full.entries:
         raise CatalogueMismatchError("reassembled tensor does not match the input")
     return Decomposition(parts)
 
@@ -365,7 +303,6 @@ def _permute_coords(ranges, coords, perm):
 
 
 def _permutations_within_groups(groups):
-    from itertools import permutations
     pools = [list(permutations(g)) for g in groups]
     for combo in product(*pools):
         perm = []
@@ -659,6 +596,14 @@ def _algebras_up_to(max_rank: int):
     return sorted(found, key=lambda a: (a.rank, a.label))
 
 
+def _check_bounds(max_rank: int, max_dim: int) -> None:
+    """Raise ValueError unless the bounds are within desk scale."""
+    if not 1 <= max_rank <= MAX_RANK:
+        raise ValueError(f"max_rank must be in [1, {MAX_RANK}]")
+    if not 1 <= max_dim <= MAX_DIM:
+        raise ValueError(f"max_dim must be in [1, {MAX_DIM}]")
+
+
 def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                           ) -> list[tuple[SemisimpleAlgebra, RepSpec,
                                           tuple[int, ...]]]:
@@ -669,10 +614,7 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     Returns (algebra, spec, lengths) triples: the sorted box lengths,
     padded to the algebra's rank, joined from the parts' certificates.
     """
-    if not 1 <= max_rank <= MAX_RANK:
-        raise ValueError(f"max_rank must be in [1, {MAX_RANK}]")
-    if not 1 <= max_dim <= MAX_DIM:
-        raise ValueError(f"max_dim must be in [1, {MAX_DIM}]")
+    _check_bounds(max_rank, max_dim)
     if algebras is None:
         algebras = _algebras_up_to(max_rank)
     else:
@@ -683,7 +625,6 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     results: dict = {}
     for algebra in algebras:
         k = len(algebra.factors)
-        ranges = algebra.block_ranges()
         a1 = [i for i, t in enumerate(algebra.factors) if t.label == "A1"]
         others = [i for i in range(k) if i not in a1]
         for singles, pairs in _a1_pairings(a1):
@@ -708,24 +649,10 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
 
             def assemble(pi, chosen, dim):
                 if pi == len(parts):
-                    summands = [()]
-                    for part, (sub, _, _, _) in zip(parts, chosen):
-                        summands = [s + (part, blocks) for s in summands
-                                    for blocks in sub]
-                    coords_list = []
-                    for s in summands:
-                        out = [0] * algebra.rank
-                        for j in range(0, len(s), 2):
-                            part, blocks = s[j], s[j + 1]
-                            if len(part) == 1:
-                                rng = ranges[part[0]]
-                                out[rng.start:rng.stop] = blocks
-                            else:
-                                r1, r2 = blocks
-                                out[ranges[part[0]].start] = r1
-                                out[ranges[part[1]].start] = r2
-                        coords_list.append(tuple(out))
-                    spec = RepSpec.make(algebra, [(c, 1) for c in coords_list])
+                    coords = _tensor_coords(algebra, [
+                        (part, dict.fromkeys(sub, 1))
+                        for part, (sub, _, _, _) in zip(parts, chosen)])
+                    spec = RepSpec.make(algebra, coords.items())
                     alg_c, spec_c = canonical_form(algebra, spec)
                     ls = tuple(sorted(ln for cand in chosen for ln in cand[3]))
                     seen = results.get((alg_c, spec_c))
@@ -756,18 +683,19 @@ def catalogue_closure(max_rank: int, max_dim: int, items=None
     """External tensor products of catalogue items within the bounds."""
     if items is None:
         items = list(iter_catalogue_items(max_rank, max_dim))
-    items = sorted(items, key=lambda it: (item_dimension(it), it))
+    items = sorted(items, key=lambda it: (prod(catalogue_lengths(it)), it))
+    specs = {it: catalogue_spec(it) for it in items}
     results: dict = {}
 
     def emit(chosen):
-        specs = [catalogue_spec(it) for it in chosen]
-        factors = tuple(t for alg, _ in specs for t in alg.factors)
+        factors, parts = (), []
+        for it in chosen:
+            alg, spec = specs[it]
+            parts.append((range(len(factors), len(factors) + len(alg.factors)),
+                          {hw.coords: m for hw, m in spec.summands}))
+            factors += alg.factors
         algebra = SemisimpleAlgebra(factors)
-        summands = [()]
-        for _, spec in specs:
-            summands = [s + hw.coords for s in summands
-                        for hw, _ in spec.summands]
-        spec = RepSpec.make(algebra, [(c, 1) for c in summands])
+        spec = RepSpec.make(algebra, _tensor_coords(algebra, parts).items())
         alg_c, spec_c = canonical_form(algebra, spec)
         results[(alg_c, spec_c)] = (alg_c, spec_c)
 
@@ -776,7 +704,8 @@ def catalogue_closure(max_rank: int, max_dim: int, items=None
             emit(chosen)
         for i in range(start, len(items)):
             it = items[i]
-            d, r = item_dimension(it), item_rank(it)
+            ls = catalogue_lengths(it)
+            d, r = prod(ls), len(ls)
             if dim * d > max_dim:
                 break
             if rank + r <= max_rank:
@@ -838,8 +767,7 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
                     f"{_spec_label(algebra, spec)}: even lengths {ls} "
                     "but not an irreducible A1 tensor")
         rng_specs.append((algebra, spec, ls))
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     spot_checks = 0
     spot_failures = []
     sample = rng_specs if len(rng_specs) <= 20 else rng.sample(rng_specs, 20)
@@ -902,12 +830,17 @@ def _howe_expected(t: SimpleType, max_dim: int) -> frozenset:
     return frozenset(w for w in out if weyl_dimension(alg, w) <= max_dim)
 
 
-def verify_howe(t: SimpleType, max_dim: int) -> dict:
-    """Check the multiplicity-free classification for one simple type."""
+def _check_howe_bounds(t: SimpleType, max_dim: int) -> None:
+    """Raise ValueError unless verify_howe's scan is within desk scale."""
     if t.rank > 4:
         raise ValueError("verify_howe is desk-scale: rank <= 4")
     if max_dim > 512:
         raise ValueError("verify_howe is desk-scale: max_dim <= 512")
+
+
+def verify_howe(t: SimpleType, max_dim: int) -> dict:
+    """Check the multiplicity-free classification for one simple type."""
+    _check_howe_bounds(t, max_dim)
     alg = SemisimpleAlgebra((t,))
     flagged = []
     scanned = 0
@@ -994,7 +927,6 @@ def roots_in_plane_census(n: int) -> dict:
 
 def _primitive_normal(rref_rows, n: int):
     """Integer normal of a rank-3 subspace of Q^n (n = 4), primitive."""
-    from math import gcd
     cof = []
     idx = list(range(n))
     for drop in idx:

@@ -222,10 +222,6 @@ def render_irrep(t: SimpleType, coords) -> str:
     return "hw(" + ",".join(str(x) for x in coords) + ")"
 
 
-def render_algebra(algebra: SemisimpleAlgebra) -> str:
-    return algebra.label
-
-
 def render_spec(spec: RepSpec) -> str:
     ranges = spec.algebra.block_ranges()
     terms = []
@@ -396,6 +392,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_enumerate(args) -> int:
     algebras = [args.algebra] if args.algebra else None
     if args.dry_run:
+        classify._check_bounds(args.max_rank, args.max_dim)
         pool = ([parse_algebra(args.algebra)] if args.algebra
                 else classify._algebras_up_to(args.max_rank))
         result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
@@ -421,6 +418,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify_catalogue(args) -> int:
     if args.dry_run:
+        classify._check_bounds(args.max_rank, args.max_dim)
         items = list(iter_catalogue_items(args.max_rank, args.max_dim))
         result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
                   "dry_run": True, "catalogue_items": len(items)}
@@ -448,6 +446,7 @@ def _cmd_verify_howe(args) -> int:
         raise ParseError("verify-howe takes a single simple factor")
     t = algebra.factors[0]
     if args.dry_run:
+        classify._check_howe_bounds(t, args.max_dim)
         count = len(classify._dominant_weights_up_to_dim(t, args.max_dim))
         result = {"type": t.label, "max_dim": args.max_dim,
                   "dry_run": True, "dominant_weights": count}
@@ -513,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     def common(p, rep=False, bounds=False, seed=False):
-        p.add_argument("--json", action="store_true", default=True,
-                       help="emit JSON on stdout (always on)")
         p.add_argument("--pretty", action="store_true",
                        help="also print a human summary on stderr")
         if rep:

@@ -27,29 +27,12 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def vec_dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def mat_vec(m, v):
     return tuple(vec_dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    cols = tuple(zip(*b, strict=True))
-    return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m, strict=True))
 
 
 def _cleared_rows(m) -> list[list[int]]:
@@ -148,52 +131,6 @@ def determinant(m) -> Fraction:
                 f = rows[i][c] * inv
                 rows[i] = [e - f * p for e, p in zip(rows[i], rows[c])]
     return det
-
-
-def hermite_basis(vectors) -> list[IntVector]:
-    """Canonical basis of the integer lattice spanned by the given vectors.
-
-    Row-style Hermite normal form: pivot columns strictly increase, pivots
-    are positive, and entries above a pivot are reduced into [0, pivot).
-    The output depends only on the lattice, so it doubles as a canonical
-    key for lattices and for integral row spaces.
-    """
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return []
-    n = len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise ValueError("mixed dimensions")
-    if any(not isinstance(e, int) for v in vecs for e in v):
-        raise ValueError("hermite_basis needs integer vectors")
-    rows = [v for v in vecs if any(v)]
-    top = 0
-    for col in range(n):
-        while True:
-            live = [i for i in range(top, len(rows)) if rows[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(rows[i][col]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = rows[i][col] // rows[i0][col]
-                if q:
-                    rows[i] = [e - q * f for e, f in zip(rows[i], rows[i0])]
-            rows = rows[:top] + [r for r in rows[top:] if any(r)]
-        live = [i for i in range(top, len(rows)) if rows[i][col]]
-        if not live:
-            continue
-        i0 = live[0]
-        rows[top], rows[i0] = rows[i0], rows[top]
-        if rows[top][col] < 0:
-            rows[top] = [-e for e in rows[top]]
-        p = rows[top][col]
-        for i in range(top):
-            q = rows[i][col] // p
-            if q:
-                rows[i] = [e - q * f for e, f in zip(rows[i], rows[top])]
-        top += 1
-    return [tuple(r) for r in rows[:top]]
 
 
 def rational_rref(rows) -> tuple[IntVector, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .exactlin import IntVector, vec_add, vec_sub
 
@@ -59,10 +59,6 @@ class SimpleType:
     def label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
-    def is_classical(self) -> bool:
-        return self.family in "ABCD"
-
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
@@ -99,9 +95,6 @@ class SemisimpleAlgebra:
             out.append(range(start, start + f.rank))
             start += f.rank
         return tuple(out)
-
-    def isomorphic_up_to_permutation(self, other: "SemisimpleAlgebra") -> bool:
-        return sorted(self.factors) == sorted(other.factors)
 
     @classmethod
     def parse(cls, text: str) -> "SemisimpleAlgebra":
@@ -216,10 +209,6 @@ def weyl_group_order(t: SimpleType) -> int:
     return 12
 
 
-def algebra_weyl_order(algebra: SemisimpleAlgebra) -> int:
-    return prod(weyl_group_order(f) for f in algebra.factors)
-
-
 @lru_cache(maxsize=None)
 def simple_root_coords(t: SimpleType) -> tuple[IntVector, ...]:
     """Simple roots in fundamental-weight coordinates (Cartan columns)."""
@@ -275,15 +264,6 @@ def _reflection_columns(algebra: SemisimpleAlgebra) -> tuple[IntVector, ...]:
                 col[rng.start + j] = c[j][i]
             cols.append(tuple(col))
     return tuple(cols)
-
-
-def reflect_coords(algebra: SemisimpleAlgebra, coords: IntVector,
-                   i: int) -> IntVector:
-    wi = coords[i]
-    if wi == 0:
-        return coords
-    col = _reflection_columns(algebra)[i]
-    return tuple(a - wi * b for a, b in zip(coords, col))
 
 
 def dominant_conjugate_coords(algebra: SemisimpleAlgebra,

@@ -1,11 +1,13 @@
+from math import prod
+
 import pytest
 
 from rectrep import (CatalogueItem, NotFaithfulError, NotRectangularError,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
                      decompose, detect_rectangular, enumerate_rectangular,
-                     from_character, is_faithful, item_dimension, item_rank,
-                     iter_catalogue_items, lengths, long_roots_3space_census,
+                     from_character, is_faithful, iter_catalogue_items,
+                     lengths, long_roots_3space_census,
                      multiplicity_free_irreps, roots_in_plane_census,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
@@ -41,19 +43,20 @@ def test_a1_pair_canonical_order():
 
 
 def test_item_tables_consistent():
-    # closed-form dimension and rank tables agree with the actual spec
+    # the lengths table gives each spec's rank (count) and dimension (product)
     for item in iter_catalogue_items(6, 128):
         alg, spec = catalogue_spec(item)
-        assert item_rank(item) == alg.rank
+        ls = catalogue_lengths(item)
+        assert len(ls) == alg.rank
         dim = sum(weyl_dimension(alg, c) * m for c, m in spec.summands)
-        assert dim == item_dimension(item)
-        assert len(catalogue_lengths(item)) == alg.rank
+        assert dim == prod(ls)
         assert is_faithful(spec)
 
 
 def test_iter_catalogue_bounds():
     items = list(iter_catalogue_items(6, 128))
-    assert all(item_rank(i) <= 6 and item_dimension(i) <= 128 for i in items)
+    assert all(len(ls) <= 6 and prod(ls) <= 128
+               for ls in map(catalogue_lengths, items))
     assert len(items) == len(set(items))
     kinds = {i.kind for i in items}
     assert kinds == {"A1Sym", "A1PairSym", "D2Spin", "B2StdSpin", "BmSpin",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,24 @@ def test_decompose_positive(capsys):
     assert_no_bare_ints(payload)
 
 
+# sha256 of the concatenated stdout below; it pins every part's item kind
+# and params, label, rep and lengths for each catalogue item in range.
+DECOMPOSE_CATALOGUE_SHA256 = (
+    "7782b18f2364b157c5293e3b0b6df7cab0ba123e70169d3fdb0f70e6561c4aa6")
+
+
+def test_decompose_bytes_for_every_catalogue_item(capsys):
+    out = []
+    for item in iter_catalogue_items(4, 64):
+        alg, spec = catalogue_spec(item)
+        code = main(["decompose", "--algebra", alg.label,
+                     "--rep", render_spec(spec)])
+        assert code == EXIT_OK, item
+        out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == DECOMPOSE_CATALOGUE_SHA256
+
+
 def test_decompose_negative_unfaithful(capsys):
     code, payload, _ = run(capsys, "decompose", "--algebra", "A1",
                            "--rep", "triv")
@@ -231,6 +250,19 @@ def test_dry_run_reports_plan(capsys):
                            "--max-dim", "64", "--dry-run")
     assert code == EXIT_OK
     assert payload["result"]["dry_run"] is True
+
+
+# A dry run checks the same bounds as the real run, so it cannot hang on them.
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--dry-run", "--max-rank", "40"),
+    ("verify-catalogue", "--dry-run", "--max-rank", "2",
+     "--max-dim", "100000000"),
+    ("verify-howe", "--algebra", "A1", "--max-dim", "100000000", "--dry-run"),
+])
+def test_dry_run_rejects_out_of_range_bounds(capsys, argv):
+    code, payload, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert payload["error"]["code"] == "usage"
 
 
 def test_pretty_goes_to_stderr_only(capsys):
