@@ -4,9 +4,11 @@
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
 multiplicity-free lists for all supported simple types, the root-geometry
 censuses, and (with --sweep) the exhaustive detector comparison on the
-7x7 grid plus a differential of the greedy detector against the old
-quadratic one on seeded random 3-D and 4-D sets. Exits nonzero if any
-check fails.
+7x7 grid, a differential of the greedy detector against the old
+quadratic one on seeded random 3-D and 4-D sets, and a differential of
+the integer Freudenthal recursion and Weyl formula against their
+`Fraction` forms on every dominant weight of dimension <= 512 for the
+types of rank <= 4. Exits nonzero if any check fails.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from rectrep import (SimpleType, long_roots_3space_census,
                      verify_howe)
 
 HOWE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
+CHAR_TYPES = HOWE_TYPES + ("C4",)
 
 
 def check(name, ok, detail=""):
@@ -35,8 +38,9 @@ def main() -> int:
     ap.add_argument("--howe-dim", type=int, default=128)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
-                    help="also run the exhaustive 7x7-grid detector sweep "
-                         "and the greedy-vs-quadratic detector differential")
+                    help="also run the exhaustive 7x7-grid detector sweep, "
+                         "the greedy-vs-quadratic detector differential and "
+                         "the integer-vs-Fraction character differential")
     args = ap.parse_args()
 
     all_ok = True
@@ -100,6 +104,28 @@ def main() -> int:
                     bad += 1
         all_ok &= check("greedy vs quadratic detector", bad == 0,
                         f"sets={n_sets} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
+        from rectrep import SemisimpleAlgebra, weyl_dimension
+        from rectrep.charcalc import _simple_character
+        from oracles import (dominant_weights_up_to_dim_fraction,
+                             simple_character_fraction,
+                             weyl_dimension_fraction)
+
+        t = time.monotonic()
+        bad = 0
+        n_weights = 0
+        for label in CHAR_TYPES:
+            st = SimpleType.parse(label)
+            alg = SemisimpleAlgebra((st,))
+            for hw in dominant_weights_up_to_dim_fraction(st, 512):
+                n_weights += 1
+                if (_simple_character(st, hw) != simple_character_fraction(st, hw)
+                        or weyl_dimension(alg, hw)
+                        != weyl_dimension_fraction(st, hw)):
+                    bad += 1
+        all_ok &= check("integer vs Fraction characters", bad == 0,
+                        f"weights={n_weights} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 
     print(f"total {time.monotonic() - t0:.1f}s")

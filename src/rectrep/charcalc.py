@@ -1,9 +1,12 @@
 """Formal characters of finite-dimensional representations.
 
-Irreducible characters come from the Freudenthal multiplicity recursion,
-evaluated in exact rational arithmetic; the Weyl dimension formula is kept
-as an independent oracle for the total mass.  Characters of product
-algebras are assembled factor by factor and tensored, never computed by a
+Irreducible characters come from the Freudenthal multiplicity recursion;
+the Weyl dimension formula is kept as an independent oracle for the total
+mass.  Both run in exact int arithmetic under the integer Gram form
+Gi = n.G of each simple type, built once by `_root_data`; the scale n
+cancels in every quotient they take.  Their former `Fraction` forms are
+the test oracles in tests/oracles.py.  Characters of product algebras are
+assembled factor by factor and tensored, never computed by a
 product-algebra recursion.
 
 All character entries are keyed by fundamental-weight coordinate tuples;
@@ -17,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .exactlin import IntVector, solve_exact
+from .exactlin import IntVector, mat_vec, solve_exact, vec_dot
 from .liealg import (SemisimpleAlgebra, SimpleType, Weight,
                      dominant_conjugate_coords, positive_root_coords,
                      symmetrizer, weyl_orbit_coords)
@@ -49,13 +53,27 @@ def _gram(t: SimpleType) -> tuple[tuple[Fraction, ...], ...]:
                  for i in range(t.rank))
 
 
-def _gram_vec(t: SimpleType, v: IntVector) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _root_data(t: SimpleType) -> tuple[int, tuple[IntVector, ...],
+                                       tuple[tuple[IntVector, IntVector, int], ...]]:
+    """Integer root data of one simple type: (n, Gi, roots).
+
+    Gi = n.G is the Gram matrix scaled by the lcm n of its denominators,
+    and roots holds (alpha, Gi.alpha, <rho, Gi.alpha>) for each positive
+    root alpha.  The Freudenthal and Weyl quotients are ratios of Gi
+    pairings, so the scale n cancels and both run in int arithmetic.
+    """
     g = _gram(t)
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in g)
-
-
-def _ip(t: SimpleType, u, gv) -> Fraction:
-    return sum(a * b for a, b in zip(u, gv))
+    n = lcm(*(x.denominator for row in g for x in row))
+    scaled = [[n * x for x in row] for row in g]
+    if any(x.denominator != 1 for row in scaled for x in row):
+        raise AssertionError(f"scaled Gram matrix of {t.label} is not integral")
+    gi = tuple(tuple(x.numerator for x in row) for row in scaled)
+    roots = []
+    for alpha in positive_root_coords(t):
+        galpha = mat_vec(gi, alpha)
+        roots.append((alpha, galpha, sum(galpha)))
+    return n, gi, tuple(roots)
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +88,15 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
     These are exactly the dominant mu with hw - mu a nonnegative integer
     combination c of simple roots; c is bounded entrywise by C^-1.hw
     because C^-1 is entrywise nonnegative.  Sorted by depth sum(c).
+    C^-1 = diag(d)^-1.G = diag(n.d)^-1.Gi, so the bounds are floor
+    divisions of Gi.hw.
     """
     from .liealg import cartan_matrix
     m = t.rank
     c = cartan_matrix(t)
-    cinv = _cartan_inverse(t)
-    bounds = [int(sum(cinv[i][j] * hw[j] for j in range(m))) for i in range(m)]
+    n, gi, _ = _root_data(t)
+    d = symmetrizer(t)
+    bounds = [x // (n * di) for x, di in zip(mat_vec(gi, hw), d)]
     found = []
     stack = [(0, [0] * m)]
     while stack:
@@ -100,30 +121,33 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
     if any(x < 0 for x in hw):
         raise ValueError(f"highest weight {hw} is not dominant")
     alg = _single_algebra(t)
-    roots = [(a, _gram_vec(t, a)) for a in positive_root_coords(t)]
-    lam_rho = tuple(x + 1 for x in hw)
-    top_norm = _ip(t, lam_rho, _gram_vec(t, lam_rho))
+    _, gi, roots = _root_data(t)
+
+    def norm(v):
+        return vec_dot(v, mat_vec(gi, v))
+
+    top_norm = norm(tuple(x + 1 for x in hw))
     mults: dict[IntVector, int] = {}
     for mu in _dominant_weights(t, hw):
         if mu == hw:
             mults[mu] = 1
             continue
-        total = Fraction(0)
-        for alpha, galpha in roots:
+        total = 0
+        for alpha, galpha, _ in roots:
+            ip, step = vec_dot(mu, galpha), vec_dot(alpha, galpha)
             k = 1
             while True:
                 nu = tuple(a + k * b for a, b in zip(mu, alpha))
                 known = mults.get(dominant_conjugate_coords(alg, nu))
                 if known is None:
                     break
-                total += known * _ip(t, nu, galpha)
+                ip += step
+                total += known * ip
                 k += 1
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = top_norm - _ip(t, mu_rho, _gram_vec(t, mu_rho))
-        val = 2 * total / denom
-        if val.denominator != 1 or val <= 0:
+        mult, rem = divmod(2 * total, top_norm - norm(tuple(x + 1 for x in mu)))
+        if rem or mult <= 0:
             raise AssertionError(f"non-integral multiplicity at {mu}")
-        mults[mu] = int(val)
+        mults[mu] = mult
     entries = []
     for mu, mult in mults.items():
         for w in weyl_orbit_coords(alg, mu):
@@ -207,16 +231,15 @@ def weyl_dimension(algebra: SemisimpleAlgebra, hw) -> int:
         raise ValueError(f"highest weight {coords} is not dominant")
     dim = 1
     for t, rng in zip(algebra.factors, algebra.block_ranges()):
-        block = coords[rng.start:rng.stop]
-        lam_rho = tuple(x + 1 for x in block)
-        rho = (1,) * t.rank
-        val = Fraction(1)
-        for alpha in positive_root_coords(t):
-            galpha = _gram_vec(t, alpha)
-            val *= _ip(t, lam_rho, galpha) / _ip(t, rho, galpha)
-        if val.denominator != 1:
+        lam_rho = tuple(x + 1 for x in coords[rng.start:rng.stop])
+        num = den = 1
+        for _, galpha, rho_galpha in _root_data(t)[2]:
+            num *= vec_dot(lam_rho, galpha)
+            den *= rho_galpha
+        val, rem = divmod(num, den)
+        if rem:
             raise AssertionError("Weyl dimension came out non-integral")
-        dim *= int(val)
+        dim *= val
     return dim
 
 

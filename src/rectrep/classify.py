@@ -604,6 +604,23 @@ def _check_bounds(max_rank: int, max_dim: int) -> None:
         raise ValueError(f"max_dim must be in [1, {MAX_DIM}]")
 
 
+def _algebra_pool(max_rank: int, max_dim: int, algebras=None
+                  ) -> list[SemisimpleAlgebra]:
+    """The algebras `enumerate_rectangular` scans, after its bound checks.
+
+    Raise ValueError on out-of-range bounds or on an override algebra of
+    rank above max_rank; its dry run calls this too.
+    """
+    _check_bounds(max_rank, max_dim)
+    if algebras is None:
+        return _algebras_up_to(max_rank)
+    pool = [a if isinstance(a, SemisimpleAlgebra)
+            else SemisimpleAlgebra.parse(a) for a in algebras]
+    if any(a.rank > max_rank for a in pool):
+        raise ValueError("algebra override exceeds max_rank")
+    return pool
+
+
 def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                           ) -> list[tuple[SemisimpleAlgebra, RepSpec,
                                           tuple[int, ...]]]:
@@ -614,14 +631,7 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     Returns (algebra, spec, lengths) triples: the sorted box lengths,
     padded to the algebra's rank, joined from the parts' certificates.
     """
-    _check_bounds(max_rank, max_dim)
-    if algebras is None:
-        algebras = _algebras_up_to(max_rank)
-    else:
-        algebras = [a if isinstance(a, SemisimpleAlgebra)
-                    else SemisimpleAlgebra.parse(a) for a in algebras]
-        if any(a.rank > max_rank for a in algebras):
-            raise ValueError("algebra override exceeds max_rank")
+    algebras = _algebra_pool(max_rank, max_dim, algebras)
     results: dict = {}
     for algebra in algebras:
         k = len(algebra.factors)

@@ -390,11 +390,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    algebras = [args.algebra] if args.algebra else None
+    algebras = [parse_algebra(args.algebra)] if args.algebra else None
     if args.dry_run:
-        classify._check_bounds(args.max_rank, args.max_dim)
-        pool = ([parse_algebra(args.algebra)] if args.algebra
-                else classify._algebras_up_to(args.max_rank))
+        pool = classify._algebra_pool(args.max_rank, args.max_dim, algebras)
         result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
                   "dry_run": True, "algebra_count": len(pool),
                   "algebras": [a.label for a in pool]}
@@ -583,12 +581,12 @@ def main(argv=None) -> int:
             detail["column"] = e.pos
         _emit(_envelope(command, False, None, detail), [str(e)], args.pretty)
         return EXIT_USAGE
-    except CatalogueMismatchError as e:
+    except (CatalogueMismatchError, AssertionError) as e:
         _emit(_envelope(command, False, None,
                         {"code": "internal", "message": str(e)}),
               [str(e)], args.pretty)
         return EXIT_INTERNAL
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         _emit(_envelope(command, False, None,
                         {"code": "usage", "message": str(e)}),
               [str(e)], args.pretty)

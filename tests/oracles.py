@@ -4,8 +4,10 @@ Each oracle re-derives an answer by a route disjoint from the library
 implementation: box images are enumerated forward (never detected),
 rectangular specs are enumerated with no structural pruning, and box
 symmetry groups are counted by exhausting integer matrices.  The
-quadratic box detector the library used before its greedy lex pass is
-kept here as the reference for a differential test.
+quadratic box detector the library used before its greedy lex pass, and
+the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
+library used before its integer-scaled ones, are kept here as the
+references for differential tests.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from rectrep import (RectCertificate, SemisimpleAlgebra, canonical_form,
                      character_of, detect_rectangular_points, is_faithful,
                      irreducible_character, multiplicity_free_irreps,
                      weyl_dimension)
-from rectrep.charcalc import RepSpec
-from rectrep.exactlin import mat_vec, random_unimodular, rank, vec_sub
+from rectrep.charcalc import RepSpec, _cartan_inverse, _gram
+from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
+                              vec_sub)
+from rectrep.liealg import (SimpleType, cartan_matrix,
+                            dominant_conjugate_coords, positive_root_coords,
+                            weyl_orbit_coords)
 
 
 def detect_rectangular_points_quadratic(points, dim: int):
@@ -289,3 +295,84 @@ def box_symmetries_bruteforce(lengths: tuple[int, ...]) -> int:
             if len(image) == len(points):
                 count += 1
     return count
+
+
+def weyl_dimension_fraction(t: SimpleType, hw) -> int:
+    """Weyl dimension of one simple-factor irreducible, in `Fraction`s."""
+    g = _gram(t)
+    lam_rho = tuple(x + 1 for x in hw)
+    rho = (1,) * t.rank
+    val = Fraction(1)
+    for alpha in positive_root_coords(t):
+        galpha = mat_vec(g, alpha)
+        val *= vec_dot(lam_rho, galpha) / vec_dot(rho, galpha)
+    assert val.denominator == 1, "Weyl dimension came out non-integral"
+    return int(val)
+
+
+def simple_character_fraction(t: SimpleType, hw):
+    """Freudenthal's recursion under the rational Gram form G.
+
+    Same contract as `charcalc._simple_character`: the sorted tuple of
+    (weight, multiplicity) pairs.  The dominant weights are hw minus
+    nonnegative simple-root combinations c with c <= C^-1.hw entrywise.
+    """
+    m = t.rank
+    alg = SemisimpleAlgebra((t,))
+    c, cinv, g = cartan_matrix(t), _cartan_inverse(t), _gram(t)
+    bounds = [int(sum(cinv[i][j] * hw[j] for j in range(m))) for i in range(m)]
+    dominant = []
+    for cc in product(*(range(b + 1) for b in bounds)):
+        mu = tuple(hw[i] - sum(c[i][j] * cc[j] for j in range(m))
+                   for i in range(m))
+        if all(x >= 0 for x in mu):
+            dominant.append((sum(cc), mu))
+    dominant.sort()
+
+    def norm(v):
+        return vec_dot(v, mat_vec(g, v))
+
+    roots = [(a, mat_vec(g, a)) for a in positive_root_coords(t)]
+    top_norm = norm(tuple(x + 1 for x in hw))
+    mults = {}
+    for _, mu in dominant:
+        if mu == tuple(hw):
+            mults[mu] = 1
+            continue
+        total = Fraction(0)
+        for alpha, galpha in roots:
+            k = 1
+            while True:
+                nu = tuple(a + k * b for a, b in zip(mu, alpha))
+                known = mults.get(dominant_conjugate_coords(alg, nu))
+                if known is None:
+                    break
+                total += known * vec_dot(nu, galpha)
+                k += 1
+        val = 2 * total / (top_norm - norm(tuple(x + 1 for x in mu)))
+        assert val.denominator == 1 and val > 0, f"bad multiplicity at {mu}"
+        mults[mu] = int(val)
+    return tuple(sorted((w, mult) for mu, mult in mults.items()
+                        for w in weyl_orbit_coords(alg, mu)))
+
+
+def dominant_weights_up_to_dim_fraction(t: SimpleType, max_dim: int):
+    """Dominant weights with `weyl_dimension_fraction` <= max_dim.
+
+    The dimension grows strictly in every coordinate, so a coordinate
+    stops growing once the weight with zeros after it is too large.
+    """
+    out = []
+
+    def grow(prefix):
+        if len(prefix) == t.rank:
+            out.append(prefix)
+            return
+        pad = (0,) * (t.rank - len(prefix) - 1)
+        k = 0
+        while weyl_dimension_fraction(t, prefix + (k,) + pad) <= max_dim:
+            grow(prefix + (k,))
+            k += 1
+
+    grow(())
+    return out

@@ -6,7 +6,11 @@ from rectrep import (SemisimpleAlgebra, SimpleType, Weight, character_of,
                      dual, dual_spec, dual_weight, external_tensor,
                      irreducible_character, is_faithful, is_multiplicity_free,
                      restrict_to_factors, weyl_dimension, weyl_orbit)
-from rectrep.charcalc import AliasError, RepSpec, resolve_alias
+from rectrep.charcalc import (AliasError, RepSpec, _simple_character,
+                              resolve_alias)
+
+from oracles import (dominant_weights_up_to_dim_fraction,
+                     simple_character_fraction, weyl_dimension_fraction)
 
 KNOWN_DIMS = [
     ("A1", (4,), 5),
@@ -39,6 +43,31 @@ def test_weyl_dimension_known(label, hw, dim):
 def test_weyl_dimension_multiplies_over_factors():
     alg = SemisimpleAlgebra.parse("A1*B2")
     assert weyl_dimension(alg, (3, 0, 1)) == 4 * 4
+
+
+DIFFERENTIAL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                      "D4", "G2", "F4")
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL_TYPES)
+def test_integer_freudenthal_matches_fraction_oracle(label):
+    # every dominant weight of dimension <= 128: 336 over these twelve types
+    t = SimpleType.parse(label)
+    alg = SemisimpleAlgebra((t,))
+    weights = dominant_weights_up_to_dim_fraction(t, 128)
+    assert weights
+    for hw in weights:
+        assert _simple_character(t, hw) == simple_character_fraction(t, hw)
+        assert weyl_dimension(alg, hw) == weyl_dimension_fraction(t, hw)
+
+
+def test_product_weyl_dimension_matches_fraction_oracle():
+    alg = SemisimpleAlgebra.parse("A2*B3*G2")
+    hw = (2, 1, 0, 1, 1, 1, 0)
+    expected = 1
+    for t, rng in zip(alg.factors, alg.block_ranges()):
+        expected *= weyl_dimension_fraction(t, hw[rng.start:rng.stop])
+    assert weyl_dimension(alg, hw) == expected
 
 
 dominant_small = st.tuples(st.integers(0, 2), st.integers(0, 2))

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from rectrep import SemisimpleAlgebra, catalogue_spec, iter_catalogue_items
-from rectrep.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, ParseError, main,
-                         parse_algebra, parse_rep, render_spec)
+from rectrep.cli import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
+                         ParseError, main, parse_algebra, parse_rep,
+                         render_spec)
 
 
 def run(capsys, *argv):
@@ -258,11 +259,24 @@ def test_dry_run_reports_plan(capsys):
     ("verify-catalogue", "--dry-run", "--max-rank", "2",
      "--max-dim", "100000000"),
     ("verify-howe", "--algebra", "A1", "--max-dim", "100000000", "--dry-run"),
+    ("enumerate", "--algebra", "A1*A1*A1", "--max-rank", "2", "--max-dim",
+     "8", "--dry-run"),
 ])
 def test_dry_run_rejects_out_of_range_bounds(capsys, argv):
     code, payload, _ = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert payload["error"]["code"] == "usage"
+
+
+def test_internal_invariant_failure_exits_internal(capsys, monkeypatch):
+    def broken(spec):
+        raise AssertionError("non-integral multiplicity at (0,)")
+    monkeypatch.setattr("rectrep.cli.character_of", broken)
+    code, payload, _ = run(capsys, "char", "--algebra", "A1", "--rep", "std")
+    assert code == EXIT_INTERNAL
+    assert payload["ok"] is False
+    assert payload["error"] == {"code": "internal",
+                                "message": "non-integral multiplicity at (0,)"}
 
 
 def test_pretty_goes_to_stderr_only(capsys):
