@@ -2,13 +2,16 @@
 """Run the full verification battery and print a one-line-per-check summary.
 
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
-multiplicity-free lists for all supported simple types, the root-geometry
-censuses, and (with --sweep) the exhaustive detector comparison on the
-7x7 grid, a differential of the greedy detector against the old
-quadratic one on seeded random 3-D and 4-D sets, and a differential of
-the integer Freudenthal recursion and Weyl formula against their
-`Fraction` forms on every dominant weight of dimension <= 512 for the
-types of rank <= 4. Exits nonzero if any check fails.
+orderly enumerator vs. the assembly over every A1 pairing and ordering
+at (4, 256), the multiplicity-free lists for all supported simple types,
+the root-geometry censuses, and (with --sweep) the exhaustive detector
+comparison on the 7x7 grid, a differential of the greedy detector
+against the old quadratic one on seeded random 3-D and 4-D sets, a
+differential of the integer Freudenthal recursion and Weyl formula
+against their `Fraction` forms on every dominant weight of dimension
+<= 512 for the types of rank <= 4, and the A1-pair part search against
+its form without the second-moment cut at budgets 256 and 512. Exits
+nonzero if any check fails.
 """
 
 import argparse
@@ -17,9 +20,10 @@ import time
 
 sys.path.insert(0, "tests")
 
-from rectrep import (SimpleType, long_roots_3space_census,
-                     roots_in_plane_census, verify_classification,
-                     verify_howe)
+from rectrep import (SimpleType, enumerate_rectangular,
+                     long_roots_3space_census, roots_in_plane_census,
+                     verify_classification, verify_howe)
+from oracles import enumerate_rectangular_all_orderings
 
 HOWE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
 CHAR_TYPES = HOWE_TYPES + ("C4",)
@@ -39,8 +43,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
                     help="also run the exhaustive 7x7-grid detector sweep, "
-                         "the greedy-vs-quadratic detector differential and "
-                         "the integer-vs-Fraction character differential")
+                         "the greedy-vs-quadratic detector differential, "
+                         "the integer-vs-Fraction character differential "
+                         "and the A1-pair moment-cut differential")
     args = ap.parse_args()
 
     all_ok = True
@@ -55,6 +60,12 @@ def main() -> int:
             f"enumerated={rep['enumerated']} catalogue={rep['catalogue']} "
             f"spot_checks={rep['unimodular_spot_checks']} "
             f"({time.monotonic() - t:.1f}s)")
+
+    t = time.monotonic()
+    found = enumerate_rectangular(4, 256)
+    all_ok &= check("orderly vs all-orderings enumeration rank<=4 dim<=256",
+                    found == enumerate_rectangular_all_orderings(4, 256),
+                    f"specs={len(found)} ({time.monotonic() - t:.1f}s)")
 
     for label in HOWE_TYPES:
         rep = verify_howe(SimpleType.parse(label), args.howe_dim)
@@ -127,6 +138,17 @@ def main() -> int:
         all_ok &= check("integer vs Fraction characters", bad == 0,
                         f"weights={n_weights} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
+
+        from rectrep.classify import _a1_pair_parts
+        from oracles import a1_pair_parts_without_moment_cut
+
+        for budget in (256, 512):
+            t = time.monotonic()
+            parts = _a1_pair_parts(budget)
+            all_ok &= check(
+                f"A1-pair parts vs search without moment cut, budget {budget}",
+                parts == a1_pair_parts_without_moment_cut(budget),
+                f"parts={len(parts)} ({time.monotonic() - t:.1f}s)")
 
     print(f"total {time.monotonic() - t0:.1f}s")
     return 0 if all_ok else 1

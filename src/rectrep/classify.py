@@ -11,12 +11,16 @@ split, Std x 1 + 1 x Std ({2,2}).
 
 The enumerator searches partitions of the simple factors into single
 factors and A1 pairs, exhaustively enumerates the rectangular candidates
-for each part, and assembles external tensor products.  Within one part
-the search is exhaustive (disjoint-support sums of multiplicity-free
-irreducibles, confirmed by the box detector); the restriction of parts to
-singletons and A1 pairs, and the square-mass cut in the A1-pair search,
-are structural facts recorded in the docs and independently defended by
-a prune-free oracle in the test suite at small bounds.
+for each part, and assembles external tensor products orderly: one
+pairing of the A1 factors per pair count and non-decreasing candidates
+over equal parts, so each orbit under permutation of equal factors is
+built and canonicalised once, and a spec reached twice is an
+AssertionError rather than a merge.  Within one part the search is
+exhaustive (disjoint-support sums of multiplicity-free irreducibles,
+confirmed by the box detector); the restriction of parts to singletons
+and A1 pairs, and the square-mass and second-moment cuts in the A1-pair
+search, are structural facts recorded in the docs and independently
+defended by a prune-free oracle in the test suite at small bounds.
 """
 
 from __future__ import annotations
@@ -293,15 +297,6 @@ def _type_groups(factors: tuple[SimpleType, ...]) -> list[list[int]]:
     return groups
 
 
-def _permute_coords(ranges, coords, perm):
-    """Coordinates with input block ranges[perm[i]] moved into position i."""
-    moved = []
-    for i in range(len(perm)):
-        rng = ranges[perm[i]]
-        moved.extend(coords[rng.start:rng.stop])
-    return tuple(moved)
-
-
 def _permutations_within_groups(groups):
     pools = [list(permutations(g)) for g in groups]
     for combo in product(*pools):
@@ -322,15 +317,14 @@ def canonical_form(algebra: SemisimpleAlgebra, spec: RepSpec
     order = sorted(range(len(algebra.factors)),
                    key=lambda i: (algebra.factors[i], i))
     sorted_alg = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
-    pairs = [(hw.coords, m) for hw, m in spec.summands]
     ranges = algebra.block_ranges()
-    best = None
-    for perm in _permutations_within_groups(_type_groups(sorted_alg.factors)):
-        full_perm = tuple(order[p] for p in perm)
-        cand = tuple(sorted((_permute_coords(ranges, c, full_perm), m)
-                            for c, m in pairs))
-        if best is None or cand < best:
-            best = cand
+    # each summand's factor blocks, sliced once, listed in sorted order
+    blocks = [([hw.coords[ranges[i].start:ranges[i].stop] for i in order], m)
+              for hw, m in spec.summands]
+    best = min(tuple(sorted((sum((b[p] for p in perm), ()), m)
+                            for b, m in blocks))
+               for perm in _permutations_within_groups(
+                   _type_groups(sorted_alg.factors)))
     return sorted_alg, RepSpec.make(sorted_alg, best)
 
 
@@ -453,14 +447,22 @@ def _a1_pair_parts(budget: int):
     Pruning.  An unsplittable rectangular part has square mass l*l with
     equal lengths (recorded in the docs, defended by the prune-free
     oracle in the tests); the square target turns the last slot into a
-    lookup.  The remaining cuts are elementary: columns of the support
-    at fixed x1 are level sets of an integer linear functional on the
-    l x l grid box, so no column (or row) holds more than l points and
-    each axis shows at least l distinct values.  Each class contributes
-    r2 + 1 points to the column at x1 = 0 or 1, so in particular every
-    usable degree is below l <= isqrt(budget).  The detector still
-    confirms every emitted part.  Returns (summands, dim, support,
-    lengths) tuples like `_single_factor_parts`.
+    lookup.  The first test on a leaf is the second moment: the part is
+    the centred box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}}
+    with integer edges e1, e2, the cross terms vanish, and so
+    sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T), an integer matrix
+    times l^2 (l^2 - 1)/12.  A class grid Sym^r1 x Sym^r2 has
+    sum x1^2 = (r2 + 1) r1 (r1 + 1)(r1 + 2)/3, so l^2 (l^2 - 1) must divide
+    4 sum (r2 + 1) r1 (r1 + 1)(r1 + 2), and likewise with the axes swapped:
+    a necessary condition in O(#summands) that rejects almost every leaf
+    before a support is built.  The remaining cuts are elementary: columns
+    of the support at fixed x1 are level sets of an integer linear
+    functional on the l x l grid box, so no column (or row) holds more
+    than l points and each axis shows at least l distinct values.  Each
+    class contributes r2 + 1 points to the column at x1 = 0 or 1, so in
+    particular every usable degree is below l <= isqrt(budget).  The
+    detector still confirms every emitted part.  Returns (summands, dim,
+    support, lengths) tuples like `_single_factor_parts`.
     """
     lmax = isqrt(budget)
     if lmax < 2:
@@ -498,6 +500,11 @@ def _a1_pair_parts(budget: int):
         return distinct1 >= l and distinct2 >= l
 
     def leaf(chosen, mass):
+        # 12 sum x1^2 and 12 sum x2^2, each a multiple of l^2 (l^2 - 1)
+        m1 = 4 * sum((r2 + 1) * r1 * (r1 + 1) * (r1 + 2) for r1, r2 in chosen)
+        m2 = 4 * sum((r1 + 1) * r2 * (r2 + 1) * (r2 + 2) for r1, r2 in chosen)
+        if m1 % (mass * (mass - 1)) or m2 % (mass * (mass - 1)):
+            return
         if not any(r1 for r1, _ in chosen) or not any(r2 for _, r2 in chosen):
             return
         p1s = {r1 % 2 for r1, _ in chosen}
@@ -551,20 +558,6 @@ def _a1_pair_parts(budget: int):
             walk(0, [], 0, [0, 0], [0, 0])
     out.sort(key=lambda x: (x[1], x[0]))
     return tuple(out)
-
-
-def _a1_pairings(a1_positions):
-    """All ways to match some A1 positions into disjoint ordered pairs."""
-    if not a1_positions:
-        yield ([], [])
-        return
-    first, rest = a1_positions[0], a1_positions[1:]
-    for singles, pairs in _a1_pairings(rest):
-        yield ([first] + singles, pairs)
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for singles, pairs in _a1_pairings(remaining):
-            yield (singles, [(first, partner)] + pairs)
 
 
 def _simple_types_up_to(max_rank: int):
@@ -630,53 +623,62 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     per orbit under permutation of equal factors, in canonical form.
     Returns (algebra, spec, lengths) triples: the sorted box lengths,
     padded to the algebra's rank, joined from the parts' certificates.
+
+    Orderly assembly builds each orbit once.  With p A1 pairs the only
+    pairing is (a1[0], a1[1]), (a1[2], a1[3]), ...; the other A1 factors
+    are singles.  Parts of one class (every A1 pair, or every single
+    factor of one simple type, adjacent or not) share one candidate list
+    and take non-decreasing indices into it.  Permuting equal factors
+    maps any decomposition onto exactly one such choice, so every orbit
+    is reached once, and a second leaf landing on an already found spec
+    raises AssertionError: it would be a second decomposition, or a pair
+    candidate P whose transpose is another candidate.  The only pair
+    candidate within the bounds, D2Spin, is its own transpose.
     """
     algebras = _algebra_pool(max_rank, max_dim, algebras)
     results: dict = {}
     for algebra in algebras:
         k = len(algebra.factors)
+        if 2 ** k > max_dim:
+            continue
         a1 = [i for i, t in enumerate(algebra.factors) if t.label == "A1"]
-        others = [i for i in range(k) if i not in a1]
-        for singles, pairs in _a1_pairings(a1):
-            parts = sorted([(i,) for i in others] + [(i,) for i in singles]
-                           + [tuple(sorted(p)) for p in pairs])
-            min_dims = []
-            for part in parts:
-                min_dims.append(2 if len(part) == 1 else 4)
-            suffix_min = [1] * (len(parts) + 1)
-            for i in range(len(parts) - 1, -1, -1):
-                suffix_min[i] = suffix_min[i + 1] * min_dims[i]
-            if suffix_min[0] > max_dim:
-                continue
-            part_cands = []
-            for i, part in enumerate(parts):
-                room = max_dim // (suffix_min[0] // min_dims[i])
-                if len(part) == 1:
-                    cands = _single_factor_parts(algebra.factors[part[0]], room)
-                else:
-                    cands = _a1_pair_parts(room)
-                part_cands.append(cands)
+        for p in range(len(a1) // 2 + 1):
+            paired = a1[:2 * p]
+            parts = sorted([(i,) for i in range(k) if i not in paired]
+                           + list(zip(paired[::2], paired[1::2])))
+            # each other factor takes at least dimension 2
+            room = [max_dim // 2 ** (k - len(part)) for part in parts]
+            rest = [2 ** sum(map(len, parts[i + 1:]))
+                    for i in range(len(parts))]
+            part_cands = [_single_factor_parts(algebra.factors[part[0]], r)
+                          if len(part) == 1 else _a1_pair_parts(r)
+                          for part, r in zip(parts, room)]
+            # the previous part of the same class, whose index is a floor
+            cls = [algebra.factors[part[0]] if len(part) == 1 else None
+                   for part in parts]
+            floor = [max((j for j in range(i) if cls[j] == cls[i]),
+                         default=None) for i in range(len(parts))]
 
             def assemble(pi, chosen, dim):
                 if pi == len(parts):
+                    picked = [part_cands[j][c] for j, c in enumerate(chosen)]
                     coords = _tensor_coords(algebra, [
-                        (part, dict.fromkeys(sub, 1))
-                        for part, (sub, _, _, _) in zip(parts, chosen)])
+                        (part, dict.fromkeys(cand[0], 1))
+                        for part, cand in zip(parts, picked)])
                     spec = RepSpec.make(algebra, coords.items())
-                    alg_c, spec_c = canonical_form(algebra, spec)
-                    ls = tuple(sorted(ln for cand in chosen for ln in cand[3]))
-                    seen = results.get((alg_c, spec_c))
-                    if seen is not None and seen[2] != ls:
+                    key = canonical_form(algebra, spec)
+                    if key in results:
                         raise AssertionError(
-                            f"{_spec_label(alg_c, spec_c)} assembled with "
-                            f"lengths {seen[2]} and {ls}")
-                    results[(alg_c, spec_c)] = (alg_c, spec_c, ls)
+                            f"{_spec_label(*key)} assembled twice")
+                    ls = tuple(sorted(ln for cand in picked for ln in cand[3]))
+                    results[key] = (*key, ls)
                     return
-                rest = suffix_min[pi + 1]
-                for cand in part_cands[pi]:
-                    if dim * cand[1] * rest > max_dim:
+                cands = part_cands[pi]
+                start = 0 if floor[pi] is None else chosen[floor[pi]]
+                for c in range(start, len(cands)):
+                    if dim * cands[c][1] * rest[pi] > max_dim:
                         break
-                    assemble(pi + 1, chosen + [cand], dim * cand[1])
+                    assemble(pi + 1, chosen + [c], dim * cands[c][1])
 
             assemble(0, [], 1)
     return sorted(results.values(), key=_result_key)

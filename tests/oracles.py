@@ -6,21 +6,24 @@ rectangular specs are enumerated with no structural pruning, and box
 symmetry groups are counted by exhausting integer matrices.  The
 quadratic box detector the library used before its greedy lex pass, and
 the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
-library used before its integer-scaled ones, are kept here as the
-references for differential tests.
+library used before its integer-scaled ones, the A1-pair part search
+before its second-moment cut, and the enumerator's assembly over every
+A1 pairing and every ordering of equal parts before orderly assembly,
+are kept here as the references for differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import isqrt, prod
 from random import Random
 
 from rectrep import (RectCertificate, SemisimpleAlgebra, canonical_form,
-                     character_of, detect_rectangular_points, is_faithful,
-                     irreducible_character, multiplicity_free_irreps,
-                     weyl_dimension)
+                     character_of, classify, detect_rectangular_points,
+                     is_faithful, irreducible_character, lengths,
+                     multiplicity_free_irreps, weyl_dimension,
+                     with_ambient_padding)
 from rectrep.charcalc import RepSpec, _cartan_inverse, _gram
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
                               vec_sub)
@@ -376,3 +379,177 @@ def dominant_weights_up_to_dim_fraction(t: SimpleType, max_dim: int):
 
     grow(())
     return out
+
+
+def a1_pair_parts_without_moment_cut(budget: int):
+    """`classify._a1_pair_parts` as it was before the second-moment cut.
+
+    Same contract and the same search: four parity slots, grid products
+    skipped, the square-mass lookup on the last slot and the column and
+    row `profile` bound, but no moment test, so every leaf that passes
+    the profile bound is built and sent to the detector.
+    """
+    lmax = isqrt(budget)
+    if lmax < 2:
+        return ()
+    squares = [l * l for l in range(2, lmax + 1)]
+    classes = []
+    for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        items = []
+        buckets: dict[int, list] = {}
+        for r1 in range(p1, lmax, 2):
+            for r2 in range(p2, lmax, 2):
+                dim = (r1 + 1) * (r2 + 1)
+                if dim > budget:
+                    break
+                items.append((dim, r1, r2))
+                buckets.setdefault(dim, []).append((r1, r2))
+        items.sort()
+        classes.append((items, buckets))
+    out = []
+
+    def profile(chosen, l):
+        col = [0, 0]
+        row = [0, 0]
+        rmax = [-1, -1]
+        smax = [-1, -1]
+        for r1, r2 in chosen:
+            col[r1 & 1] += r2 + 1
+            row[r2 & 1] += r1 + 1
+            rmax[r1 & 1] = max(rmax[r1 & 1], r1)
+            smax[r2 & 1] = max(smax[r2 & 1], r2)
+        if max(col) > l or max(row) > l:
+            return False
+        distinct1 = sum(r + 1 for r in rmax if r >= 0)
+        distinct2 = sum(s + 1 for s in smax if s >= 0)
+        return distinct1 >= l and distinct2 >= l
+
+    def leaf(chosen, mass):
+        if not any(r1 for r1, _ in chosen) or not any(r2 for _, r2 in chosen):
+            return
+        p1s = {r1 % 2 for r1, _ in chosen}
+        p2s = {r2 % 2 for _, r2 in chosen}
+        if len(chosen) == len(p1s) * len(p2s):
+            by_p1 = {r1 % 2: r1 for r1, _ in chosen}
+            by_p2 = {r2 % 2: r2 for _, r2 in chosen}
+            if all(by_p1[r1 % 2] == r1 and by_p2[r2 % 2] == r2
+                   for r1, r2 in chosen):
+                return
+        l = isqrt(mass)
+        if not profile(chosen, l):
+            return
+        support = set()
+        for r1, r2 in chosen:
+            for a in range(-r1, r1 + 1, 2):
+                for b in range(-r2, r2 + 1, 2):
+                    support.add((a, b))
+        if len(support) != mass:
+            return
+        cert = detect_rectangular_points(support, 2)
+        if cert is not None:
+            out.append((tuple(sorted(chosen)), mass, frozenset(support),
+                        lengths(with_ambient_padding(cert, 2))))
+
+    for size in (2, 3, 4):
+        for subset in combinations(range(4), size):
+
+            def walk(i, chosen, dim, col, row):
+                if i == size - 1:
+                    _, buckets = classes[subset[i]]
+                    for sq in squares:
+                        need = sq - dim
+                        if need >= 1:
+                            for r1, r2 in buckets.get(need, ()):
+                                leaf(chosen + [(r1, r2)], sq)
+                    return
+                items, _ = classes[subset[i]]
+                remaining = size - 1 - i
+                for d, r1, r2 in items:
+                    if dim + d + remaining > squares[-1]:
+                        break
+                    if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
+                        continue
+                    ncol = list(col)
+                    nrow = list(row)
+                    ncol[r1 & 1] += r2 + 1
+                    nrow[r2 & 1] += r1 + 1
+                    walk(i + 1, chosen + [(r1, r2)], dim + d, ncol, nrow)
+
+            walk(0, [], 0, [0, 0], [0, 0])
+    out.sort(key=lambda x: (x[1], x[0]))
+    return tuple(out)
+
+
+def _a1_pairings(a1_positions):
+    """All ways to match some A1 positions into disjoint ordered pairs."""
+    if not a1_positions:
+        yield ([], [])
+        return
+    first, rest = a1_positions[0], a1_positions[1:]
+    for singles, pairs in _a1_pairings(rest):
+        yield ([first] + singles, pairs)
+    for k, partner in enumerate(rest):
+        remaining = rest[:k] + rest[k + 1:]
+        for singles, pairs in _a1_pairings(remaining):
+            yield (singles, [(first, partner)] + pairs)
+
+
+def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
+                                        algebras=None):
+    """`classify.enumerate_rectangular` as it was before orderly assembly.
+
+    Every pairing of the A1 positions and every ordering of the
+    candidates on equal parts is assembled; `canonical_form` and the
+    results dict merge the copies, and a spec reached twice must carry
+    the same lengths.  Same contract: sorted (algebra, spec, lengths).
+    """
+    algebras = classify._algebra_pool(max_rank, max_dim, algebras)
+    results: dict = {}
+    for algebra in algebras:
+        k = len(algebra.factors)
+        a1 = [i for i, t in enumerate(algebra.factors) if t.label == "A1"]
+        others = [i for i in range(k) if i not in a1]
+        for singles, pairs in _a1_pairings(a1):
+            parts = sorted([(i,) for i in others] + [(i,) for i in singles]
+                           + [tuple(sorted(p)) for p in pairs])
+            min_dims = []
+            for part in parts:
+                min_dims.append(2 if len(part) == 1 else 4)
+            suffix_min = [1] * (len(parts) + 1)
+            for i in range(len(parts) - 1, -1, -1):
+                suffix_min[i] = suffix_min[i + 1] * min_dims[i]
+            if suffix_min[0] > max_dim:
+                continue
+            part_cands = []
+            for i, part in enumerate(parts):
+                room = max_dim // (suffix_min[0] // min_dims[i])
+                if len(part) == 1:
+                    cands = classify._single_factor_parts(
+                        algebra.factors[part[0]], room)
+                else:
+                    cands = classify._a1_pair_parts(room)
+                part_cands.append(cands)
+
+            def assemble(pi, chosen, dim):
+                if pi == len(parts):
+                    coords = classify._tensor_coords(algebra, [
+                        (part, dict.fromkeys(sub, 1))
+                        for part, (sub, _, _, _) in zip(parts, chosen)])
+                    spec = RepSpec.make(algebra, coords.items())
+                    alg_c, spec_c = canonical_form(algebra, spec)
+                    ls = tuple(sorted(ln for cand in chosen for ln in cand[3]))
+                    seen = results.get((alg_c, spec_c))
+                    if seen is not None and seen[2] != ls:
+                        raise AssertionError(
+                            f"{classify._spec_label(alg_c, spec_c)} assembled "
+                            f"with lengths {seen[2]} and {ls}")
+                    results[(alg_c, spec_c)] = (alg_c, spec_c, ls)
+                    return
+                rest = suffix_min[pi + 1]
+                for cand in part_cands[pi]:
+                    if dim * cand[1] * rest > max_dim:
+                        break
+                    assemble(pi + 1, chosen + [cand], dim * cand[1])
+
+            assemble(0, [], 1)
+    return sorted(results.values(), key=classify._result_key)

@@ -5,16 +5,20 @@ import pytest
 from rectrep import (CatalogueItem, NotFaithfulError, NotRectangularError,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
-                     decompose, detect_rectangular, enumerate_rectangular,
-                     from_character, is_faithful, iter_catalogue_items,
-                     lengths, long_roots_3space_census,
+                     decompose, detect_rectangular, detect_rectangular_points,
+                     enumerate_rectangular, from_character, is_faithful,
+                     iter_catalogue_items, lengths, long_roots_3space_census,
                      multiplicity_free_irreps, roots_in_plane_census,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
 from rectrep.charcalc import RepSpec
+from rectrep.classify import _a1_pair_parts
 from rectrep.liealg import SimpleType
 
-from oracles import prune_free_rectangular
+from oracles import (a1_pair_parts_without_moment_cut,
+                     enumerate_rectangular_all_orderings, grid_rect_oracle,
+                     prune_free_rectangular, random_symmetric_sets,
+                     symmetric_sets)
 
 
 def spec_of(label, summands):
@@ -187,6 +191,46 @@ def test_enumerate_matches_prune_free_oracle(label, max_dim):
     got = {(a, s) for a, s, _ in enumerate_rectangular(alg.rank, max_dim,
                                                         algebras=[alg])}
     assert got == raw
+
+
+def test_orderly_enumeration_matches_all_orderings_oracle():
+    # one assembly per orbit must find what every pairing and ordering finds
+    assert (enumerate_rectangular(3, 128)
+            == enumerate_rectangular_all_orderings(3, 128))
+
+
+def test_non_adjacent_equal_factors_enumerate_like_adjacent_ones():
+    # the A1 factors of A1*B2*A1 are one class although B2 sits between
+    # them; comparing neighbouring parts only would build specs twice
+    assert (enumerate_rectangular(4, 128, algebras=["A1*B2*A1"])
+            == enumerate_rectangular(4, 128, algebras=["A1*A1*B2"]))
+
+
+@pytest.mark.parametrize("budget", [16, 32, 64, 128])
+def test_a1_pair_parts_match_search_without_moment_cut(budget):
+    assert _a1_pair_parts(budget) == a1_pair_parts_without_moment_cut(budget)
+
+
+def test_box_second_moment_lemma():
+    # 12 sum x x^T = N sum_i (l_i^2 - 1) e_i e_i^T over each accepted box
+    # with edges e_i, lengths l_i and N points: the cut in _a1_pair_parts
+    # is the equal-length case on both diagonal entries
+    grid, _ = grid_rect_oracle()
+    sets = [*symmetric_sets(half=2, max_points=12), *grid,
+            *random_symmetric_sets(2, 1000, seed=7)]
+    accepted = 0
+    for s in sets:
+        cert = detect_rectangular_points(s, 2)
+        if cert is None:
+            continue
+        accepted += 1
+        ls = [d + 1 for d in cert.degrees]
+        for i in range(2):
+            for j in range(2):
+                moment = 12 * sum(x[i] * x[j] for x in s)
+                assert moment == len(s) * sum(
+                    (l * l - 1) * e[i] * e[j] for e, l in zip(cert.edges, ls))
+    assert accepted > 1000
 
 
 @pytest.mark.parametrize("max_rank,max_dim,algebras", [

@@ -202,6 +202,19 @@ def test_enumerate_positive_a3(capsys):
     assert_no_bare_ints(payload)
 
 
+# sha256 of the stdout below; the two A1 factors are not adjacent
+ENUMERATE_A1_B2_A1_SHA256 = (
+    "335b5fa45ed8d815e6ca9724555a74db12f8225ff33ad0c34e67923b26ba3b4d")
+
+
+def test_enumerate_bytes_for_non_adjacent_equal_factors(capsys):
+    code = main(["enumerate", "--algebra", "A1*B2*A1", "--max-rank", "4",
+                 "--max-dim", "64"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_A1_B2_A1_SHA256
+
+
 def test_enumerate_negative_bounds(capsys):
     code, payload, _ = run(capsys, "enumerate", "--max-rank", "9")
     assert code == EXIT_USAGE
