@@ -28,12 +28,11 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
 
-from .exactlin import (determinant, random_unimodular, rational_rref,
+from .exactlin import (determinant, random_unimodular, rank, rational_rref,
                        vec_dot, vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
@@ -597,6 +596,12 @@ def _check_bounds(max_rank: int, max_dim: int) -> None:
         raise ValueError(f"max_dim must be in [1, {MAX_DIM}]")
 
 
+def _check_census_rank(max_rank: int) -> None:
+    """Raise ValueError unless the censuses have a B_n to scan (n >= 2)."""
+    if max_rank < 2:
+        raise ValueError("census needs max_rank >= 2")
+
+
 def _algebra_pool(max_rank: int, max_dim: int, algebras=None
                   ) -> list[SemisimpleAlgebra]:
     """The algebras `enumerate_rectangular` scans, after its bound checks.
@@ -843,7 +848,9 @@ def _howe_expected(t: SimpleType, max_dim: int) -> frozenset:
 
 
 def _check_howe_bounds(t: SimpleType, max_dim: int) -> None:
-    """Raise ValueError unless verify_howe's scan is within desk scale."""
+    """Raise ValueError unless verify_howe's scan is non-empty and desk-scale."""
+    if max_dim < 1:
+        raise ValueError("verify_howe needs max_dim >= 1")
     if t.rank > 4:
         raise ValueError("verify_howe is desk-scale: rank <= 4")
     if max_dim > 512:
@@ -885,21 +892,6 @@ def _bn_roots_ortho(n: int):
     return sorted(roots)
 
 
-def _reduce_against(rows, vec):
-    """Remainder of vec after elimination by rref rows (exact)."""
-    v = [Fraction(x) for x in vec]
-    for row in rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def _in_span(rref_rows, vec) -> bool:
-    return not any(_reduce_against(rref_rows, vec))
-
-
 def roots_in_plane_census(n: int) -> dict:
     """Census of 2-spaces spanned by root pairs of B_n.
 
@@ -917,7 +909,7 @@ def roots_in_plane_census(n: int) -> dict:
     rich = []
     violations = []
     for key in sorted(planes):
-        members = [r for r in roots if _in_span(key, r)]
+        members = [r for r in roots if rank(key + (r,)) == len(key)]
         if len(members) < 8:
             continue
         longs = [r for r in members if vec_dot(r, r) == 2]
@@ -979,7 +971,7 @@ def long_roots_3space_census(n: int = 4) -> dict:
     rich = []
     violations = []
     for key in sorted(spaces):
-        members = [r for r in longs if _in_span(key, r)]
+        members = [r for r in longs if rank(key + (r,)) == len(key)]
         if len(members) < 12:
             continue
         standard = all(sum(1 for x in row if x) == 1 for row in key)

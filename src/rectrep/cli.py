@@ -4,9 +4,11 @@ catalogue decomposition, enumeration, and the verification suites.
 Output contract.  Every invocation writes exactly one JSON object to
 stdout with keys in fixed order and every integer rendered as a decimal
 string, so repeated runs are byte-identical.  --pretty adds a human
-summary on stderr.  Exit codes: 0 success, 2 parse/usage error, 3 domain
-rejection (unfaithful or non-rectangular input, with a diagnostic
-report), 4 verification mismatch, 5 internal invariant violation.
+summary on stderr.  A failed envelope carries an error code, and
+EXIT_CODES, the one table from error code to exit code, gives the exit
+status: 0 success, 2 parse/usage error, 3 domain rejection (unfaithful
+or non-rectangular input, with a diagnostic report), 4 verification
+mismatch, 5 internal invariant violation.
 
 Input grammar (case-insensitive, whitespace-insensitive):
 
@@ -44,10 +46,11 @@ from .classify import (CatalogueItem, CatalogueMismatchError, NotFaithfulError,
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DOMAIN = 3
-EXIT_MISMATCH = 4
-EXIT_INTERNAL = 5
+# The one map from an error envelope's code to the process exit code.
+EXIT_CODES = {"parse": 2, "usage": 2,
+              "not_faithful": 3, "not_rectangular": 3,
+              "verification_mismatch": 4,
+              "internal": 5}
 
 
 class ParseError(ValueError):
@@ -277,6 +280,12 @@ def _envelope(command: str, ok: bool, result=None, error=None) -> dict:
 
 
 # -------------------------------------------------------------- commands
+#
+# Each command returns its outcome (result, pretty_lines, error): error is
+# None on success, else the envelope's {"code", "message"}.  `main` turns
+# the outcome, or a typed exception, into the one envelope and exit code.
+
+_Outcome = tuple[object, list, "dict | None"]
 
 def _load_spec(args) -> tuple[SemisimpleAlgebra, RepSpec]:
     algebra = parse_algebra(args.algebra)
@@ -284,7 +293,14 @@ def _load_spec(args) -> tuple[SemisimpleAlgebra, RepSpec]:
     return algebra, spec
 
 
-def _cmd_char(args) -> int:
+def _verdict(report: dict, lines, message: str) -> _Outcome:
+    """A verify-style command's outcome: ok, or a verification mismatch."""
+    if report["ok"]:
+        return report, lines, None
+    return report, lines, {"code": "verification_mismatch", "message": message}
+
+
+def _cmd_char(args) -> _Outcome:
     algebra, spec = _load_spec(args)
     char = character_of(spec)
     weights = [{"coords": list(w), "mult": m}
@@ -300,11 +316,10 @@ def _cmd_char(args) -> int:
     lines = [f"character of {result['rep']} over {algebra.label}",
              f"dimension {spec.dimension}"]
     lines += [f"  {w}  x{m}" for w, m in sorted(char.entries.items())]
-    _emit(_envelope("char", True, result), lines, args.pretty)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_rect(args) -> int:
+def _cmd_rect(args) -> _Outcome:
     algebra, spec = _load_spec(args)
     s = from_character(character_of(spec))
     cert = detect_rectangular(s)
@@ -312,11 +327,9 @@ def _cmd_rect(args) -> int:
         reason = classify._rect_reason(s)
         result = {"algebra": algebra.label, "rep": render_spec(spec),
                   "rectangular": False, "reason": reason}
-        _emit(_envelope("rect", False, result,
-                        {"code": "not_rectangular",
-                         "message": f"not rectangular: {reason}"}),
-              [f"not rectangular: {reason}"], args.pretty)
-        return EXIT_DOMAIN
+        message = f"not rectangular: {reason}"
+        return result, [message], {"code": "not_rectangular",
+                                   "message": message}
     padded = with_ambient_padding(cert, algebra.rank)
     ls = lengths(padded)
     side = is_hypercubic(padded)
@@ -336,28 +349,22 @@ def _cmd_rect(args) -> int:
     }
     lines = [f"rectangular with lengths {list(ls)}"
              + (f", hypercubic of side {side}" if side is not None else "")]
-    _emit(_envelope("rect", True, result), lines, args.pretty)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> _Outcome:
     algebra, spec = _load_spec(args)
     try:
         dec = decompose(spec)
     except NotFaithfulError as e:
         result = {"algebra": algebra.label, "rep": render_spec(spec),
                   "faithful": False}
-        _emit(_envelope("decompose", False, result,
-                        {"code": "not_faithful", "message": str(e)}),
-              [str(e)], args.pretty)
-        return EXIT_DOMAIN
+        return result, [str(e)], {"code": "not_faithful", "message": str(e)}
     except NotRectangularError as e:
         result = {"algebra": algebra.label, "rep": render_spec(spec),
                   "faithful": True, "rectangular": False, "reason": e.reason}
-        _emit(_envelope("decompose", False, result,
-                        {"code": "not_rectangular", "message": str(e)}),
-              [str(e)], args.pretty)
-        return EXIT_DOMAIN
+        return result, [str(e)], {"code": "not_rectangular",
+                                  "message": str(e)}
     parts = []
     for positions, item in dec.parts:
         part_alg, part_spec = catalogue_spec(item)
@@ -385,20 +392,17 @@ def _cmd_decompose(args) -> int:
     lines = [f"decomposes into {len(parts)} catalogue part(s):"]
     lines += [f"  factors {p['factors']}: {p['label']} = {p['rep']} "
               f"over {p['algebra']}" for p in parts]
-    _emit(_envelope("decompose", True, result), lines, args.pretty)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Outcome:
     algebras = [parse_algebra(args.algebra)] if args.algebra else None
     if args.dry_run:
         pool = classify._algebra_pool(args.max_rank, args.max_dim, algebras)
         result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
                   "dry_run": True, "algebra_count": len(pool),
                   "algebras": [a.label for a in pool]}
-        _emit(_envelope("enumerate", True, result),
-              [f"would scan {len(pool)} algebras"], args.pretty)
-        return EXIT_OK
+        return result, [f"would scan {len(pool)} algebras"], None
     found = enumerate_rectangular(args.max_rank, args.max_dim,
                                   algebras=algebras)
     specs = []
@@ -410,35 +414,24 @@ def _cmd_enumerate(args) -> int:
     lines = [f"{len(specs)} rectangular specs"]
     lines += [f"  {s['algebra']}: {s['rep']}  dim {s['dimension']} "
               f"lengths {s['lengths']}" for s in specs]
-    _emit(_envelope("enumerate", True, result), lines, args.pretty)
-    return EXIT_OK
+    return result, lines, None
 
 
-def _cmd_verify_catalogue(args) -> int:
+def _cmd_verify_catalogue(args) -> _Outcome:
     if args.dry_run:
         classify._check_bounds(args.max_rank, args.max_dim)
         items = list(iter_catalogue_items(args.max_rank, args.max_dim))
         result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
                   "dry_run": True, "catalogue_items": len(items)}
-        _emit(_envelope("verify-catalogue", True, result),
-              [f"{len(items)} catalogue items in range"], args.pretty)
-        return EXIT_OK
+        return result, [f"{len(items)} catalogue items in range"], None
     report = verify_classification(args.max_rank, args.max_dim,
                                    seed=args.seed)
-    ok = report["ok"]
     lines = [f"enumerated {report['enumerated']}, catalogue "
-             f"{report['catalogue']}, ok={ok}"]
-    if ok:
-        _emit(_envelope("verify-catalogue", True, report), lines, args.pretty)
-        return EXIT_OK
-    _emit(_envelope("verify-catalogue", False, report,
-                    {"code": "verification_mismatch",
-                     "message": "enumeration disagrees with the catalogue"}),
-          lines, args.pretty)
-    return EXIT_MISMATCH
+             f"{report['catalogue']}, ok={report['ok']}"]
+    return _verdict(report, lines, "enumeration disagrees with the catalogue")
 
 
-def _cmd_verify_howe(args) -> int:
+def _cmd_verify_howe(args) -> _Outcome:
     algebra = parse_algebra(args.algebra)
     if len(algebra.factors) != 1:
         raise ParseError("verify-howe takes a single simple factor")
@@ -448,32 +441,22 @@ def _cmd_verify_howe(args) -> int:
         count = len(classify._dominant_weights_up_to_dim(t, args.max_dim))
         result = {"type": t.label, "max_dim": args.max_dim,
                   "dry_run": True, "dominant_weights": count}
-        _emit(_envelope("verify-howe", True, result),
-              [f"would scan {count} dominant weights of {t.label}"],
-              args.pretty)
-        return EXIT_OK
+        return result, [f"would scan {count} dominant weights of {t.label}"], None
     report = verify_howe(t, args.max_dim)
     lines = [f"{t.label}: scanned {report['scanned']}, flagged "
              f"{len(report['flagged'])}, ok={report['ok']}"]
-    if report["ok"]:
-        _emit(_envelope("verify-howe", True, report), lines, args.pretty)
-        return EXIT_OK
-    _emit(_envelope("verify-howe", False, report,
-                    {"code": "verification_mismatch",
-                     "message": "multiplicity-free scan disagrees with the "
-                                "classified list"}),
-          lines, args.pretty)
-    return EXIT_MISMATCH
+    return _verdict(report, lines, "multiplicity-free scan disagrees with "
+                                   "the classified list")
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> _Outcome:
+    classify._check_census_rank(args.max_rank)
     top = min(args.max_rank, 4)
     if args.dry_run:
         result = {"max_rank": top, "dry_run": True,
                   "plane_ranks": list(range(2, top + 1)),
                   "space_ranks": [n for n in (3, 4) if n <= top]}
-        _emit(_envelope("census", True, result), ["dry run"], args.pretty)
-        return EXIT_OK
+        return result, ["dry run"], None
     planes = [roots_in_plane_census(n) for n in range(2, top + 1)]
     spaces = [long_roots_3space_census(n) for n in (3, 4) if n <= top]
     ok = all(r["ok"] for r in planes + spaces)
@@ -483,24 +466,18 @@ def _cmd_census(args) -> int:
              f"{len(r['violations'])} violations" for r in planes]
     lines += [f"B{r['n']} long 3-spaces: {r['rich_spaces']} rich, "
               f"{len(r['violations'])} violations" for r in spaces]
-    if ok:
-        _emit(_envelope("census", True, result), lines, args.pretty)
-        return EXIT_OK
-    _emit(_envelope("census", False, result,
-                    {"code": "verification_mismatch",
-                     "message": "census found violations"}),
-          lines, args.pretty)
-    return EXIT_MISMATCH
+    return _verdict(result, lines, "census found violations")
 
 
 # ---------------------------------------------------------------- driver
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse exits from inside parse_args, so this path emits itself
         _emit(_envelope(self.prog.split()[-1] if self.prog else "usage",
                         False, None,
                         {"code": "usage", "message": message}))
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(EXIT_CODES["usage"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,25 +549,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    command = args.command
     try:
-        return args.func(args)
+        result, lines, error = args.func(args)
     except ParseError as e:
-        detail = {"code": "parse", "message": str(e)}
+        result, lines, error = None, [str(e)], {"code": "parse",
+                                                "message": str(e)}
         if e.pos is not None:
-            detail["column"] = e.pos
-        _emit(_envelope(command, False, None, detail), [str(e)], args.pretty)
-        return EXIT_USAGE
+            error["column"] = e.pos
     except (CatalogueMismatchError, AssertionError) as e:
-        _emit(_envelope(command, False, None,
-                        {"code": "internal", "message": str(e)}),
-              [str(e)], args.pretty)
-        return EXIT_INTERNAL
+        result, lines, error = None, [str(e)], {"code": "internal",
+                                                "message": str(e)}
     except ValueError as e:
-        _emit(_envelope(command, False, None,
-                        {"code": "usage", "message": str(e)}),
-              [str(e)], args.pretty)
-        return EXIT_USAGE
+        result, lines, error = None, [str(e)], {"code": "usage",
+                                                "message": str(e)}
+    _emit(_envelope(args.command, error is None, result, error), lines,
+          args.pretty)
+    return EXIT_OK if error is None else EXIT_CODES[error["code"]]
 
 
 if __name__ == "__main__":

@@ -16,9 +16,13 @@ elements are exactly the e_i.  A reducible u = sum c_i e_i has some
 c_j > 0 with u - e_j in D; lex order is translation-invariant, so e_j
 is lex-smaller than u and was found first.  An irreducible u has no
 decomposition at all.  So on a box image the pass returns exactly the
-edges.  On any other input the edge set it returns may be wrong, but
-then the rank, point-count, box-rebuild and centre checks that follow
-reject it: passing them makes S a centred box image by construction.
+edges.  On any other input the edge set it finds may be wrong, but the
+detector returns a certificate only if it passes `_is_centred_box`, the
+same edge-rank, point-count, box-rebuild and centre test that
+`verify_certificate` applies, and passing it makes S a centred box image
+by construction.  So a fault in the greedy pass can only cause a false
+reject, and every certificate the detector returns passes
+`verify_certificate`.
 Central symmetry S = -S is checked separately because the isomorphism in
 the definition is linear, not affine; for any true box image it holds
 automatically (the centroid of the box is the origin).
@@ -166,6 +170,28 @@ def _box_points(vertex: IntVector, edges, degrees):
         yield p
 
 
+def _is_centred_box(support: set, cert: RectCertificate) -> bool:
+    """Whether support is exactly cert's box and that box is centred at 0.
+
+    Independent edges make the prod(d_i + 1) box points distinct, so with
+    the point count matching, every box point lying in support is set
+    equality.
+    """
+    k = len(cert.edges)
+    if k and rank(cert.edges) != k:
+        return False
+    if prod(d + 1 for d in cert.degrees) != len(support):
+        return False
+    if not all(p in support
+               for p in _box_points(cert.vertex, cert.edges, cert.degrees)):
+        return False
+    center = [2 * x for x in cert.vertex]
+    for u, d in zip(cert.edges, cert.degrees):
+        for j, x in enumerate(u):
+            center[j] += d * x
+    return not any(center)
+
+
 def detect_rectangular_points(points, dim: int) -> RectCertificate | None:
     """Core detector on a plain multiplicity-one point set."""
     pts = set(points)
@@ -187,26 +213,14 @@ def detect_rectangular_points(points, dim: int) -> RectCertificate | None:
             edges.append(u)
             if len(edges) > dim:
                 return None
-    k = len(edges)
-    if k == 0 or rank(edges) != k or rank(nonzero) != k:
-        return None
     degrees = []
     for u in edges:
         c = 1
         while tuple((c + 1) * x for x in u) in dset:
             c += 1
         degrees.append(c)
-    if prod(d + 1 for d in degrees) != len(pts):
-        return None
-    if any(p not in dset for p in _box_points(zero, edges, degrees)):
-        return None
-    center = list(2 * x for x in v)
-    for u, d in zip(edges, degrees):
-        for j in range(dim):
-            center[j] += d * u[j]
-    if any(center):
-        return None
-    return RectCertificate(v, tuple(edges), tuple(degrees), 0)
+    cert = RectCertificate(v, tuple(edges), tuple(degrees), 0)
+    return cert if _is_centred_box(pts, cert) else None
 
 
 def detect_rectangular(s: WeightMultiset) -> RectCertificate | None:
@@ -219,21 +233,7 @@ def verify_certificate(s: WeightMultiset, cert: RectCertificate) -> bool:
     """One-pass check, independent of how the certificate was produced."""
     if any(m != 1 for _, m in s.points):
         return False
-    k = len(cert.edges)
-    if k and rank(cert.edges) != k:
-        return False
-    support = {p for p, _ in s.points}
-    if prod(d + 1 for d in cert.degrees) != len(support):
-        return False
-    rebuilt = set(_box_points(cert.vertex, cert.edges, cert.degrees))
-    if rebuilt != support:
-        return False
-    dim = s.dim
-    center = [2 * x for x in cert.vertex]
-    for u, d in zip(cert.edges, cert.degrees):
-        for j in range(dim):
-            center[j] += d * u[j]
-    return not any(center)
+    return _is_centred_box({p for p, _ in s.points}, cert)
 
 
 def lengths(cert: RectCertificate) -> tuple[int, ...]:

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from rectrep import SemisimpleAlgebra, catalogue_spec, iter_catalogue_items
-from rectrep.cli import (EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
-                         ParseError, main, parse_algebra, parse_rep,
-                         render_spec)
+from rectrep.classify import roots_in_plane_census, verify_classification
+from rectrep.cli import (EXIT_CODES, EXIT_OK, ParseError, main, parse_algebra,
+                         parse_rep, render_spec)
 
 
 def run(capsys, *argv):
@@ -126,7 +126,7 @@ def test_char_positive(capsys):
 
 def test_char_negative_bad_grammar(capsys):
     code, payload, _ = run(capsys, "char", "--algebra", "A1", "--rep", "sym$")
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["parse"]
     assert payload["ok"] is False
     assert payload["error"]["code"] == "parse"
     assert "column" in payload["error"]
@@ -146,7 +146,7 @@ def test_rect_positive(capsys):
 
 def test_rect_negative_not_rectangular(capsys):
     code, payload, _ = run(capsys, "rect", "--algebra", "A2", "--rep", "std")
-    assert code == EXIT_DOMAIN
+    assert code == EXIT_CODES["not_rectangular"]
     assert payload["ok"] is False
     assert payload["error"]["code"] == "not_rectangular"
     assert payload["result"]["reason"] == "asymmetry"
@@ -186,7 +186,7 @@ def test_decompose_bytes_for_every_catalogue_item(capsys):
 def test_decompose_negative_unfaithful(capsys):
     code, payload, _ = run(capsys, "decompose", "--algebra", "A1",
                            "--rep", "triv")
-    assert code == EXIT_DOMAIN
+    assert code == EXIT_CODES["not_faithful"]
     assert payload["error"]["code"] == "not_faithful"
     assert payload["result"]["faithful"] is False
 
@@ -217,7 +217,7 @@ def test_enumerate_bytes_for_non_adjacent_equal_factors(capsys):
 
 def test_enumerate_negative_bounds(capsys):
     code, payload, _ = run(capsys, "enumerate", "--max-rank", "9")
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["usage"]
     assert payload["ok"] is False
 
 
@@ -231,7 +231,7 @@ def test_verify_catalogue_positive(capsys):
 
 def test_verify_catalogue_negative_usage(capsys):
     code, _, captured = run(capsys, "verify-catalogue", "--max-dim", "lots")
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["usage"]
 
 
 def test_verify_howe_positive(capsys):
@@ -244,7 +244,7 @@ def test_verify_howe_positive(capsys):
 
 def test_verify_howe_negative_bad_algebra(capsys):
     code, payload, _ = run(capsys, "verify-howe", "--algebra", "Q7")
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["parse"]
 
 
 def test_census_positive(capsys):
@@ -256,7 +256,7 @@ def test_census_positive(capsys):
 
 def test_census_negative_unknown_flag(capsys):
     code, _, _ = run(capsys, "census", "--nope")
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["usage"]
 
 
 def test_dry_run_reports_plan(capsys):
@@ -274,22 +274,172 @@ def test_dry_run_reports_plan(capsys):
     ("verify-howe", "--algebra", "A1", "--max-dim", "100000000", "--dry-run"),
     ("enumerate", "--algebra", "A1*A1*A1", "--max-rank", "2", "--max-dim",
      "8", "--dry-run"),
+    ("census", "--max-rank", "0", "--dry-run"),
+    ("census", "--max-rank", "-3", "--dry-run"),
+    ("verify-howe", "--algebra", "A1", "--max-dim", "0", "--dry-run"),
+    ("verify-howe", "--algebra", "A1", "--max-dim", "-5", "--dry-run"),
 ])
 def test_dry_run_rejects_out_of_range_bounds(capsys, argv):
     code, payload, _ = run(capsys, *argv)
-    assert code == EXIT_USAGE
+    assert code == EXIT_CODES["usage"]
     assert payload["error"]["code"] == "usage"
 
 
-def test_internal_invariant_failure_exits_internal(capsys, monkeypatch):
+# A census needs some B_n with n >= 2, and a Howe scan some dimension >= 1;
+# below that the real run would report a vacuous success.
+@pytest.mark.parametrize("argv", [
+    ("census", "--max-rank", "0"),
+    ("verify-howe", "--algebra", "A2", "--max-dim", "0"),
+])
+def test_real_run_rejects_empty_scan_bounds(capsys, argv):
+    code, payload, _ = run(capsys, *argv)
+    assert code == EXIT_CODES["usage"]
+    assert payload["ok"] is False
+    assert payload["error"]["code"] == "usage"
+
+
+def _break_characters(monkeypatch):
     def broken(spec):
         raise AssertionError("non-integral multiplicity at (0,)")
     monkeypatch.setattr("rectrep.cli.character_of", broken)
+
+
+def test_internal_invariant_failure_exits_internal(capsys, monkeypatch):
+    _break_characters(monkeypatch)
     code, payload, _ = run(capsys, "char", "--algebra", "A1", "--rep", "std")
-    assert code == EXIT_INTERNAL
+    assert code == EXIT_CODES["internal"]
     assert payload["ok"] is False
     assert payload["error"] == {"code": "internal",
                                 "message": "non-integral multiplicity at (0,)"}
+
+
+# The three verification_mismatch envelopes, each forced by tampering with
+# what its command compares against.
+
+def _empty_howe_list(monkeypatch):
+    monkeypatch.setattr("rectrep.classify._howe_expected",
+                        lambda t, max_dim: frozenset())
+
+
+def _catalogue_without_d2spin(monkeypatch):
+    def tampered(max_rank, max_dim, seed=0):
+        items = [it for it in iter_catalogue_items(max_rank, max_dim)
+                 if it.kind != "D2Spin"]
+        return verify_classification(max_rank, max_dim, items=items, seed=seed)
+    monkeypatch.setattr("rectrep.cli.verify_classification", tampered)
+
+
+def _census_violation(monkeypatch):
+    monkeypatch.setattr("rectrep.cli.roots_in_plane_census",
+                        lambda n: dict(roots_in_plane_census(n),
+                                       violations=[{"note": "forced"}],
+                                       ok=False))
+
+
+HOWE_MISMATCH = ("verify-howe", "--algebra", "A1", "--max-dim", "4")
+CATALOGUE_MISMATCH = ("verify-catalogue", "--max-rank", "2", "--max-dim", "8")
+CENSUS_MISMATCH = ("census", "--max-rank", "2")
+
+
+# stdout sha256 of each forced mismatch: the envelope bytes, key order
+# included.
+@pytest.mark.parametrize("force, argv, sha256", [
+    (_empty_howe_list, HOWE_MISMATCH,
+     "7528c5649189dcd6aa1b020bb7315db728ce6267efec0dd0f0d46cd912d3bfd9"),
+    (_catalogue_without_d2spin, CATALOGUE_MISMATCH,
+     "6720ca0d0d1fec95384b4bff60431f8588775ad20f4b5a63afbcbfeafe441c0b"),
+    (_census_violation, CENSUS_MISMATCH,
+     "b0038347c24c0f4b780c413654eea0cf968a9705d034f90ef37462c5f8ca157e"),
+])
+def test_verification_mismatch_exits_4(capsys, monkeypatch, force, argv,
+                                       sha256):
+    force(monkeypatch)
+    code, payload, captured = run(capsys, *argv)
+    assert code == 4
+    assert payload["ok"] is False
+    assert payload["error"]["code"] == "verification_mismatch"
+    assert payload["result"]["ok"] is False
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+
+
+# Every error code the CLI emits, a command that reaches it, and the exit
+# code the README documents for it.
+EMITTED_ERRORS = [
+    ("parse", 2, None, ("char", "--algebra", "A1", "--rep", "sym$")),
+    ("usage", 2, None, ("enumerate", "--max-rank", "9")),
+    ("usage", 2, None, ("census", "--nope")),
+    ("not_faithful", 3, None, ("decompose", "--algebra", "A1", "--rep", "triv")),
+    ("not_rectangular", 3, None, ("rect", "--algebra", "A2", "--rep", "std")),
+    ("not_rectangular", 3, None,
+     ("decompose", "--algebra", "A2", "--rep", "std")),
+    ("verification_mismatch", 4, _empty_howe_list, HOWE_MISMATCH),
+    ("internal", 5, _break_characters,
+     ("char", "--algebra", "A1", "--rep", "std")),
+]
+
+
+@pytest.mark.parametrize("error, exit_code, force, argv", EMITTED_ERRORS)
+def test_every_error_code_has_its_documented_exit_code(
+        capsys, monkeypatch, error, exit_code, force, argv):
+    assert set(EXIT_CODES) == {e[0] for e in EMITTED_ERRORS}
+    if force is not None:
+        force(monkeypatch)
+    code, payload, _ = run(capsys, *argv)
+    assert payload["ok"] is False
+    assert payload["error"]["code"] == error
+    assert code == EXIT_CODES[error] == exit_code
+
+
+# A fixed battery of fast commands: every command, --dry-run, --pretty, and
+# each error code that needs no tampering.  OUTCOME_SHA256 is taken over the
+# (argv, exit code, stdout, stderr) of each, in order, and pins the envelope
+# bytes, key order included.  Top-level --help is left out: its text is the
+# module docstring.
+OUTCOME_BATTERY = [
+    ("char", "--algebra", "B3", "--rep", "spin", "--pretty"),
+    ("char", "--algebra", "A1", "--rep", "sym$", "--pretty"),
+    ("char", "--algebra", "A3", "--rep", "spin"),
+    ("char", "--algebra", "D2", "--rep", "std"),
+    ("rect", "--algebra", "B2", "--rep", "std + spin", "--pretty"),
+    ("rect", "--algebra", "A2", "--rep", "std", "--pretty"),
+    ("rect", "--algebra", "A1", "--rep", "std + std"),
+    ("rect", "--algebra", "A1*A1", "--rep", "std*std"),
+    ("decompose", "--algebra", "A1*A1", "--rep", "std*triv + triv*std",
+     "--pretty"),
+    ("decompose", "--algebra", "A1", "--rep", "triv", "--pretty"),
+    ("decompose", "--algebra", "A1", "--rep", "std + std"),
+    ("decompose", "--algebra", "B3*A1", "--rep", "spin*sym2"),
+    ("enumerate", "--max-rank", "2", "--max-dim", "16", "--pretty"),
+    ("enumerate", "--max-rank", "2", "--max-dim", "64", "--dry-run",
+     "--pretty"),
+    ("enumerate", "--max-rank", "9"),
+    ("enumerate", "--algebra", "A1*A1*A1", "--max-rank", "2", "--max-dim",
+     "8"),
+    ("enumerate", "--algebra", "Q7"),
+    ("verify-catalogue", "--max-rank", "2", "--max-dim", "16", "--pretty"),
+    ("verify-catalogue", "--dry-run", "--max-rank", "2", "--max-dim", "64"),
+    ("verify-catalogue", "--max-dim", "lots"),
+    ("verify-howe", "--algebra", "G2", "--max-dim", "64", "--pretty"),
+    ("verify-howe", "--algebra", "B3", "--dry-run", "--pretty"),
+    ("verify-howe", "--algebra", "A1*A1"),
+    ("verify-howe", "--algebra", "B5"),
+    ("census", "--max-rank", "2", "--pretty"),
+    ("census", "--max-rank", "9", "--dry-run", "--pretty"),
+    ("census", "--nope"),
+    ("rect", "--algebra", "B2"),
+    (),
+]
+OUTCOME_SHA256 = (
+    "c789ba1e61ac674c06aecc4e589fd3fe15480a11658f8f050cac5fc8567a8b35")
+
+
+def test_outcome_bytes_for_a_fixed_battery(capsys):
+    digest = hashlib.sha256()
+    for argv in OUTCOME_BATTERY:
+        code, _, captured = run(capsys, *argv)
+        digest.update(json.dumps([list(argv), code, captured.out,
+                                  captured.err]).encode())
+    assert digest.hexdigest() == OUTCOME_SHA256
 
 
 def test_pretty_goes_to_stderr_only(capsys):
@@ -309,5 +459,5 @@ def test_byte_identical_repeated_runs(capsys):
 
 
 def test_missing_subcommand_is_usage(capsys):
-    assert main([]) == EXIT_USAGE
+    assert main([]) == EXIT_CODES["usage"]
     capsys.readouterr()

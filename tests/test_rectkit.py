@@ -126,6 +126,13 @@ def test_verify_certificate_rejects_forgeries():
     bad2 = RectCertificate(good.vertex, (good.edges[0], good.edges[0]),
                            good.degrees)
     assert not verify_certificate(s, bad2)
+    # a certificate that rebuilds an off-centre box exactly
+    shifted = WeightMultiset(1, (((0,), 1), ((1,), 1)))
+    assert not verify_certificate(shifted,
+                                  RectCertificate((0,), ((1,),), (1,)))
+    # a centred box that covers only part of the points
+    line = WeightMultiset(1, tuple(((x,), 1) for x in (-1, 0, 1)))
+    assert not verify_certificate(line, RectCertificate((-1,), ((2,),), (1,)))
 
 
 def test_is_hypercubic():
