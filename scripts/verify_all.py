@@ -17,8 +17,10 @@ nonzero if any check fails.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rectrep import (SimpleType, enumerate_rectangular,
                      long_roots_3space_census, roots_in_plane_census,

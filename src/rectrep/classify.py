@@ -376,9 +376,9 @@ def _single_factor_parts(t: SimpleType, budget: int):
 
     A part is a disjoint-support sum of multiplicity-free irreducibles
     (possibly including the trivial one) that acts faithfully and whose
-    character passes the box detector.  Returns (summands, dim, support,
-    lengths) tuples sorted by dimension; `lengths` are the detected box
-    lengths padded to the rank of t.
+    character passes the box detector.  Returns (summands, dim, lengths)
+    tuples sorted by dimension; `lengths` are the detected box lengths
+    padded to the rank of t.
 
     For A1 the only rectangular sums are single symmetric powers and
     pairs of adjacent ones: a symmetric union of two parity-separated
@@ -400,7 +400,7 @@ def _single_factor_parts(t: SimpleType, budget: int):
             if cert is None:
                 raise AssertionError("A1 shortcut emitted a non-rectangular part")
             dim = sum(r + 1 for (r,) in summands)
-            out.append((tuple(sorted(summands)), dim, frozenset(support),
+            out.append((tuple(sorted(summands)), dim,
                         lengths(with_ambient_padding(cert, 1))))
         out.sort(key=lambda x: (x[1], x[0]))
         return tuple(out)
@@ -423,7 +423,7 @@ def _single_factor_parts(t: SimpleType, budget: int):
             if any(c != (0,) * t.rank for c in sub):
                 cert = detect_rectangular_points(merged, t.rank)
                 if cert is not None:
-                    out.append((tuple(sorted(sub)), dim + mass, merged,
+                    out.append((tuple(sorted(sub)), dim + mass,
                                 lengths(with_ambient_padding(cert, t.rank))))
             extend(idx + 1, sub, merged, dim + mass)
 
@@ -438,30 +438,34 @@ def _a1_pair_parts(budget: int):
 
     Summands are Sym^r1 x Sym^r2; two summands have disjoint support iff
     they differ in parity somewhere, so a part holds at most one summand
-    per parity class of (r1, r2) -- four slots.  Choices forming a grid
-    {parities} x {parities} with per-axis degrees are exactly the ones
-    that split as products of single-factor parts and are skipped (the
-    finer partition enumerates them).
+    per parity class of (r1, r2) -- four slots -- and its support has
+    exactly as many points as its dimension.  The detector confirms every
+    emitted part.  Before it, each cut below rests on its stated reason:
 
-    Pruning.  An unsplittable rectangular part has square mass l*l with
-    equal lengths (recorded in the docs, defended by the prune-free
-    oracle in the tests); the square target turns the last slot into a
-    lookup.  The first test on a leaf is the second moment: the part is
-    the centred box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}}
-    with integer edges e1, e2, the cross terms vanish, and so
-    sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T), an integer matrix
-    times l^2 (l^2 - 1)/12.  A class grid Sym^r1 x Sym^r2 has
-    sum x1^2 = (r2 + 1) r1 (r1 + 1)(r1 + 2)/3, so l^2 (l^2 - 1) must divide
-    4 sum (r2 + 1) r1 (r1 + 1)(r1 + 2), and likewise with the axes swapped:
-    a necessary condition in O(#summands) that rejects almost every leaf
-    before a support is built.  The remaining cuts are elementary: columns
-    of the support at fixed x1 are level sets of an integer linear
-    functional on the l x l grid box, so no column (or row) holds more
-    than l points and each axis shows at least l distinct values.  Each
-    class contributes r2 + 1 points to the column at x1 = 0 or 1, so in
-    particular every usable degree is below l <= isqrt(budget).  The
-    detector still confirms every emitted part.  Returns (summands, dim,
-    support, lengths) tuples like `_single_factor_parts`.
+    - Square mass.  An unsplittable rectangular part has square mass l*l
+      with equal lengths (recorded in the docs, defended by the
+      prune-free oracle in the tests), so the last slot is a lookup of
+      the dimension that completes a square.
+    - Column and row bound.  Columns of the support at fixed x1 are level
+      sets of an integer linear functional on the l x l grid box, so none
+      holds more than l points; each class adds r2 + 1 points to the
+      column at x1 = 0 or 1.  So every degree is below
+      lmax = isqrt(budget), and the walk keeps both column sums (and the
+      row sums, axes swapped) at most lmax up to the last slot.
+    - Second moment, the first test on a leaf.  The part is the centred
+      box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}} with
+      integer edges e1, e2; the cross terms vanish, so
+      sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T).  A class grid
+      Sym^r1 x Sym^r2 has sum x1^2 = (r2 + 1) r1 (r1 + 1)(r1 + 2)/3, so
+      l^2 (l^2 - 1) must divide 4 sum (r2 + 1) r1 (r1 + 1)(r1 + 2), and
+      likewise with the axes swapped.
+    - Splitting.  Choices forming a grid {parities} x {parities} with
+      per-axis degrees are exactly the ones that split as products of
+      single-factor parts; the finer partition enumerates them.  This
+      also drops every unfaithful choice: if all r1 are 0, the part is
+      {(0, a), (0, b)} with a, b of different parity, a grid.
+
+    Returns (summands, dim, lengths) tuples like `_single_factor_parts`.
     """
     lmax = isqrt(budget)
     if lmax < 2:
@@ -482,29 +486,11 @@ def _a1_pair_parts(budget: int):
         classes.append((items, buckets))
     out = []
 
-    def profile(chosen, l):
-        col = [0, 0]
-        row = [0, 0]
-        rmax = [-1, -1]
-        smax = [-1, -1]
-        for r1, r2 in chosen:
-            col[r1 & 1] += r2 + 1
-            row[r2 & 1] += r1 + 1
-            rmax[r1 & 1] = max(rmax[r1 & 1], r1)
-            smax[r2 & 1] = max(smax[r2 & 1], r2)
-        if max(col) > l or max(row) > l:
-            return False
-        distinct1 = sum(r + 1 for r in rmax if r >= 0)
-        distinct2 = sum(s + 1 for s in smax if s >= 0)
-        return distinct1 >= l and distinct2 >= l
-
     def leaf(chosen, mass):
         # 12 sum x1^2 and 12 sum x2^2, each a multiple of l^2 (l^2 - 1)
         m1 = 4 * sum((r2 + 1) * r1 * (r1 + 1) * (r1 + 2) for r1, r2 in chosen)
         m2 = 4 * sum((r1 + 1) * r2 * (r2 + 1) * (r2 + 2) for r1, r2 in chosen)
         if m1 % (mass * (mass - 1)) or m2 % (mass * (mass - 1)):
-            return
-        if not any(r1 for r1, _ in chosen) or not any(r2 for _, r2 in chosen):
             return
         p1s = {r1 % 2 for r1, _ in chosen}
         p2s = {r2 % 2 for _, r2 in chosen}
@@ -514,19 +500,12 @@ def _a1_pair_parts(budget: int):
             if all(by_p1[r1 % 2] == r1 and by_p2[r2 % 2] == r2
                    for r1, r2 in chosen):
                 return
-        l = isqrt(mass)
-        if not profile(chosen, l):
-            return
-        support = set()
-        for r1, r2 in chosen:
-            for a in range(-r1, r1 + 1, 2):
-                for b in range(-r2, r2 + 1, 2):
-                    support.add((a, b))
-        if len(support) != mass:
-            return
+        support = {(a, b) for r1, r2 in chosen
+                   for a in range(-r1, r1 + 1, 2)
+                   for b in range(-r2, r2 + 1, 2)}
         cert = detect_rectangular_points(support, 2)
         if cert is not None:
-            out.append((tuple(sorted(chosen)), mass, frozenset(support),
+            out.append((tuple(sorted(chosen)), mass,
                         lengths(with_ambient_padding(cert, 2))))
 
     for size in (2, 3, 4):
@@ -675,7 +654,7 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                     if key in results:
                         raise AssertionError(
                             f"{_spec_label(*key)} assembled twice")
-                    ls = tuple(sorted(ln for cand in picked for ln in cand[3]))
+                    ls = tuple(sorted(ln for cand in picked for ln in cand[2]))
                     results[key] = (*key, ls)
                     return
                 cands = part_cands[pi]
@@ -860,19 +839,12 @@ def _check_howe_bounds(t: SimpleType, max_dim: int) -> None:
 def verify_howe(t: SimpleType, max_dim: int) -> dict:
     """Check the multiplicity-free classification for one simple type."""
     _check_howe_bounds(t, max_dim)
-    alg = SemisimpleAlgebra((t,))
-    flagged = []
-    scanned = 0
-    for coords in _dominant_weights_up_to_dim(t, max_dim):
-        scanned += 1
-        if is_multiplicity_free(irreducible_character(alg, coords)):
-            flagged.append(coords)
+    flagged_set = frozenset(multiplicity_free_irreps(t, max_dim))
     expected = _howe_expected(t, max_dim)
-    flagged_set = frozenset(flagged)
     return {
         "type": t.label,
         "max_dim": max_dim,
-        "scanned": scanned,
+        "scanned": len(_dominant_weights_up_to_dim(t, max_dim)),
         "flagged": sorted(flagged_set),
         "expected": sorted(expected),
         "extra": sorted(flagged_set - expected),

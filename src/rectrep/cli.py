@@ -434,7 +434,7 @@ def _cmd_verify_catalogue(args) -> _Outcome:
 def _cmd_verify_howe(args) -> _Outcome:
     algebra = parse_algebra(args.algebra)
     if len(algebra.factors) != 1:
-        raise ParseError("verify-howe takes a single simple factor")
+        raise ValueError("verify-howe takes a single simple factor")
     t = algebra.factors[0]
     if args.dry_run:
         classify._check_howe_bounds(t, args.max_dim)
@@ -546,10 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         result, lines, error = args.func(args)
     except ParseError as e:
         result, lines, error = None, [str(e)], {"code": "parse",

@@ -387,7 +387,10 @@ def a1_pair_parts_without_moment_cut(budget: int):
     Same contract and the same search: four parity slots, grid products
     skipped, the square-mass lookup on the last slot and the column and
     row `profile` bound, but no moment test, so every leaf that passes
-    the profile bound is built and sent to the detector.
+    the profile bound is built and sent to the detector.  It keeps the
+    faithfulness, `profile` and support-count tests that the production
+    search has since dropped as implied by the split test or left to the
+    detector.  Returns (summands, dim, lengths) tuples.
     """
     lmax = isqrt(budget)
     if lmax < 2:
@@ -447,7 +450,7 @@ def a1_pair_parts_without_moment_cut(budget: int):
             return
         cert = detect_rectangular_points(support, 2)
         if cert is not None:
-            out.append((tuple(sorted(chosen)), mass, frozenset(support),
+            out.append((tuple(sorted(chosen)), mass,
                         lengths(with_ambient_padding(cert, 2))))
 
     for size in (2, 3, 4):
@@ -534,10 +537,10 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
                 if pi == len(parts):
                     coords = classify._tensor_coords(algebra, [
                         (part, dict.fromkeys(sub, 1))
-                        for part, (sub, _, _, _) in zip(parts, chosen)])
+                        for part, (sub, _, _) in zip(parts, chosen)])
                     spec = RepSpec.make(algebra, coords.items())
                     alg_c, spec_c = canonical_form(algebra, spec)
-                    ls = tuple(sorted(ln for cand in chosen for ln in cand[3]))
+                    ls = tuple(sorted(ln for cand in chosen for ln in cand[2]))
                     seen = results.get((alg_c, spec_c))
                     if seen is not None and seen[2] != ls:
                         raise AssertionError(

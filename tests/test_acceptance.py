@@ -5,14 +5,17 @@ and carries a wall-clock budget.  Independent oracles live in oracles.py.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import rectrep
 from rectrep import (SemisimpleAlgebra, Weight, catalogue_lengths,
                      catalogue_spec, character_of, detect_rectangular,
                      detect_rectangular_points, enumerate_rectangular,
@@ -301,11 +304,15 @@ def test_cli_golden_suite_bytes_and_exit_codes(capsys):
 
 
 def test_cli_installed_entry_point_runs():
+    # the child imports the same rectrep as this suite, installed or not
+    src = str(Path(rectrep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with timed(30.0):
         proc = subprocess.run(
             [sys.executable, "-m", "rectrep", "char", "--algebra", "A1",
              "--rep", "std"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True

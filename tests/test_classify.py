@@ -206,7 +206,7 @@ def test_non_adjacent_equal_factors_enumerate_like_adjacent_ones():
             == enumerate_rectangular(4, 128, algebras=["A1*A1*B2"]))
 
 
-@pytest.mark.parametrize("budget", [16, 32, 64, 128])
+@pytest.mark.parametrize("budget", [4, 9, 16, 25, 32, 64, 128])
 def test_a1_pair_parts_match_search_without_moment_cut(budget):
     assert _a1_pair_parts(budget) == a1_pair_parts_without_moment_cut(budget)
 

@@ -247,6 +247,13 @@ def test_verify_howe_negative_bad_algebra(capsys):
     assert code == EXIT_CODES["parse"]
 
 
+def test_verify_howe_multi_factor_algebra_is_usage(capsys):
+    # A1*A1 parses; its shape is what verify-howe rejects
+    code, payload, _ = run(capsys, "verify-howe", "--algebra", "A1*A1")
+    assert code == EXIT_CODES["usage"]
+    assert payload["error"]["code"] == "usage"
+
+
 def test_census_positive(capsys):
     code, payload, _ = run(capsys, "census", "--max-rank", "3")
     assert code == EXIT_OK
@@ -255,8 +262,13 @@ def test_census_positive(capsys):
 
 
 def test_census_negative_unknown_flag(capsys):
-    code, _, _ = run(capsys, "census", "--nope")
+    # the top-level parser sees the leftover option; the envelope still
+    # names the subcommand it came with
+    code, payload, _ = run(capsys, "census", "--nope")
     assert code == EXIT_CODES["usage"]
+    assert payload["command"] == "census"
+    assert payload["error"] == {"code": "usage",
+                                "message": "unrecognized arguments: --nope"}
 
 
 def test_dry_run_reports_plan(capsys):
@@ -430,7 +442,7 @@ OUTCOME_BATTERY = [
     (),
 ]
 OUTCOME_SHA256 = (
-    "c789ba1e61ac674c06aecc4e589fd3fe15480a11658f8f050cac5fc8567a8b35")
+    "929e04ddeb1d722c13e11a6056f2e891eaf09c53681a6e33258510da359a2d88")
 
 
 def test_outcome_bytes_for_a_fixed_battery(capsys):
