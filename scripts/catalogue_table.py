@@ -6,7 +6,11 @@ algebra, representation, dimension, and the multiset of lengths.
 """
 
 import argparse
+import sys
 from math import prod
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rectrep import catalogue_lengths, catalogue_spec, iter_catalogue_items
 from rectrep.cli import render_spec

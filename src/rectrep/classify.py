@@ -192,11 +192,13 @@ def _item_support(item: CatalogueItem) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def _single_factor_items(t: SimpleType, mass: int) -> tuple[CatalogueItem, ...]:
-    """Catalogue items over the one simple factor t with dimension mass."""
+def _catalogue_items_over(algebra: SemisimpleAlgebra, mass: int
+                          ) -> tuple[CatalogueItem, ...]:
+    """Catalogue items over exactly this algebra with dimension mass."""
     return tuple(CatalogueItem(k, p)
-                 for k, p, ls in _catalogue_entries(t.rank, mass)
-                 if prod(ls) == mass and _CATALOGUE[k].algebra(*p) == t.label)
+                 for k, p, ls in _catalogue_entries(algebra.rank, mass)
+                 if prod(ls) == mass
+                 and _CATALOGUE[k].algebra(*p) == algebra.label)
 
 
 def _tensor_coords(algebra: SemisimpleAlgebra, parts) -> dict:
@@ -228,11 +230,14 @@ def _rect_reason(s: WeightMultiset) -> str:
 def decompose(spec: RepSpec) -> Decomposition:
     """Factor a faithful rectangular representation over the catalogue.
 
-    Per simple factor the restricted character is a constant multiple of
-    the factor representation; A1 factors whose restriction shows the
-    uneven (m, 2m, m) profile belong to unsplittable A1-pair parts and
-    are paired afterwards.  The external tensor of the matched items is
-    rebuilt and compared against the input character exactly.
+    Each simple factor, and then each pair of the factors left over, is
+    matched against the catalogue items over that sub-algebra: the
+    restricted character must be a constant multiple of the item's
+    character, so equal multiplicities on the item's support.  A part of
+    a tensor product restricts that way; a factor of a multi-factor part
+    does not, since its restriction is not multiplicity-constant.  The
+    external tensor of the matched items is rebuilt and compared against
+    the input character exactly.
     """
     if not is_faithful(spec):
         raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
@@ -242,48 +247,34 @@ def decompose(spec: RepSpec) -> Decomposition:
     if cert is None:
         raise NotRectangularError(_rect_reason(s))
     factors = spec.algebra.factors
-    singles: list[tuple[tuple[int, ...], CatalogueItem]] = []
-    halves: list[int] = []
-    for j, t in enumerate(factors):
-        restr = restrict_to_factors(full, [j])
-        mults = set(restr.entries.values())
-        if len(mults) == 1:
-            support = restr.support
-            match = next((item for item in _single_factor_items(t, len(support))
-                          if _item_support(item) == support), None)
-            if match is None:
-                raise CatalogueMismatchError(
-                    f"factor {t.label} at position {j} matches no catalogue item")
-            singles.append(((j,), match))
-            continue
-        if t.label == "A1" and set(restr.entries) == {(-1,), (0,), (1,)}:
-            m = restr.entries[(1,)]
-            if restr.entries[(-1,)] == m and restr.entries[(0,)] == 2 * m:
-                halves.append(j)
+    parts: list[tuple[tuple[int, ...], CatalogueItem]] = []
+    taken: set[int] = set()
+    for size in (1, 2):
+        for positions in combinations(range(len(factors)), size):
+            if not taken.isdisjoint(positions):
                 continue
+            restr = restrict_to_factors(full, positions)
+            if len(set(restr.entries.values())) != 1:
+                continue
+            sub = SemisimpleAlgebra(tuple(factors[j] for j in positions))
+            support = restr.support
+            match = next((item for item in _catalogue_items_over(sub, len(support))
+                          if _item_support(item) == support), None)
+            if match is not None:
+                parts.append((positions, match))
+                taken.update(positions)
+    if len(taken) < len(factors):
+        left = sorted(set(range(len(factors))) - taken)
         raise CatalogueMismatchError(
-            f"factor {t.label} at position {j} has no admissible restriction")
-    pairs: list[tuple[tuple[int, ...], CatalogueItem]] = []
-    cross = {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    unpaired = list(halves)
-    while unpaired:
-        j = unpaired.pop(0)
-        for idx, j2 in enumerate(unpaired):
-            restr = restrict_to_factors(full, [j, j2])
-            if set(restr.entries) == cross and len(set(restr.entries.values())) == 1:
-                pairs.append(((j, j2), CatalogueItem("D2Spin")))
-                unpaired.pop(idx)
-                break
-        else:
-            raise CatalogueMismatchError(
-                f"A1 factor at position {j} pairs with no other factor")
-    parts = tuple(sorted(singles + pairs))
+            f"factors at positions {left} of {spec.algebra.label} match no "
+            "catalogue item")
+    parts.sort()
     rebuilt = _tensor_coords(spec.algebra, [
         (positions, character_of(catalogue_spec(item)[1]).entries)
         for positions, item in parts])
     if rebuilt != full.entries:
         raise CatalogueMismatchError("reassembled tensor does not match the input")
-    return Decomposition(parts)
+    return Decomposition(tuple(parts))
 
 
 def _type_groups(factors: tuple[SimpleType, ...]) -> list[list[int]]:
@@ -438,26 +429,28 @@ def _a1_pair_parts(budget: int):
 
     Summands are Sym^r1 x Sym^r2; two summands have disjoint support iff
     they differ in parity somewhere, so a part holds at most one summand
-    per parity class of (r1, r2) -- four slots -- and its support has
-    exactly as many points as its dimension.  The detector confirms every
-    emitted part.  Before it, each cut below rests on its stated reason:
+    per parity class of (r1, r2), and its support has exactly as many
+    points as its dimension.  One walk takes the four classes in order,
+    skipping any, and at every node closes a part with one summand from
+    a later class.  The detector confirms every emitted part.  Before
+    it, each cut below rests on its stated reason:
 
     - Square mass.  An unsplittable rectangular part has square mass l*l
       with equal lengths (recorded in the docs, defended by the
-      prune-free oracle in the tests), so the last slot is a lookup of
-      the dimension that completes a square.
+      prune-free oracle in the tests), so the closing summand is a lookup
+      of the dimension that completes a square.
     - Column and row bound.  Columns of the support at fixed x1 are level
       sets of an integer linear functional on the l x l grid box, so none
       holds more than l points; each class adds r2 + 1 points to the
       column at x1 = 0 or 1.  So every degree is below
       lmax = isqrt(budget), and the walk keeps both column sums (and the
-      row sums, axes swapped) at most lmax up to the last slot.
-    - Second moment, the first test on a leaf.  The part is the centred
+      row sums, axes swapped) at most lmax before the closing summand.
+    - Second moment, tested as the part closes.  The part is the centred
       box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}} with
       integer edges e1, e2; the cross terms vanish, so
       sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T).  A class grid
-      Sym^r1 x Sym^r2 has sum x1^2 = (r2 + 1) r1 (r1 + 1)(r1 + 2)/3, so
-      l^2 (l^2 - 1) must divide 4 sum (r2 + 1) r1 (r1 + 1)(r1 + 2), and
+      Sym^r1 x Sym^r2 has 12 sum x1^2 = 4 (r2 + 1) r1 (r1 + 1)(r1 + 2),
+      which the walk adds up, so l^2 (l^2 - 1) must divide the sum, and
       likewise with the axes swapped.
     - Splitting.  Choices forming a grid {parities} x {parities} with
       per-axis degrees are exactly the ones that split as products of
@@ -470,28 +463,30 @@ def _a1_pair_parts(budget: int):
     lmax = isqrt(budget)
     if lmax < 2:
         return ()
-    squares = [l * l for l in range(2, lmax + 1)]
+    squares = [(l * l, l * l * (l * l - 1)) for l in range(2, lmax + 1)]
+    top = squares[-1][0]
     classes = []
     for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        items = []
-        buckets: dict[int, list] = {}
-        for r1 in range(p1, lmax, 2):
-            for r2 in range(p2, lmax, 2):
-                dim = (r1 + 1) * (r2 + 1)
-                if dim > budget:
-                    break
-                items.append((dim, r1, r2))
-                buckets.setdefault(dim, []).append((r1, r2))
-        items.sort()
-        classes.append((items, buckets))
+        # (dim, r1, r2, 12 sum x1^2, 12 sum x2^2) of each class grid
+        items = sorted(((r1 + 1) * (r2 + 1), r1, r2,
+                        4 * (r2 + 1) * r1 * (r1 + 1) * (r1 + 2),
+                        4 * (r1 + 1) * r2 * (r2 + 1) * (r2 + 2))
+                       for r1 in range(p1, lmax, 2)
+                       for r2 in range(p2, lmax, 2)
+                       if (r1 + 1) * (r2 + 1) <= budget)
+        classes.append(items)
+    # closers[c][dim]: the summands of classes after c that complete a
+    # square from a node of dimension dim
+    closers = [[[] for _ in range(top)] for _ in range(3)]
+    for c in range(3):
+        for items in classes[c + 1:]:
+            for item in items:
+                for sq, modulus in squares:
+                    if 0 < sq - item[0] < top:
+                        closers[c][sq - item[0]].append((sq, modulus, item))
     out = []
 
     def leaf(chosen, mass):
-        # 12 sum x1^2 and 12 sum x2^2, each a multiple of l^2 (l^2 - 1)
-        m1 = 4 * sum((r2 + 1) * r1 * (r1 + 1) * (r1 + 2) for r1, r2 in chosen)
-        m2 = 4 * sum((r1 + 1) * r2 * (r2 + 1) * (r2 + 2) for r1, r2 in chosen)
-        if m1 % (mass * (mass - 1)) or m2 % (mass * (mass - 1)):
-            return
         p1s = {r1 % 2 for r1, _ in chosen}
         p2s = {r2 % 2 for _, r2 in chosen}
         if len(chosen) == len(p1s) * len(p2s):
@@ -508,32 +503,26 @@ def _a1_pair_parts(budget: int):
             out.append((tuple(sorted(chosen)), mass,
                         lengths(with_ambient_padding(cert, 2))))
 
-    for size in (2, 3, 4):
-        for subset in combinations(range(4), size):
+    def walk(start, chosen, dim, col, row, m1, m2):
+        # the last class can only close a part, so the walk stops before it
+        for c in range(start, 3):
+            for d, r1, r2, t1, t2 in classes[c]:
+                if dim + d >= top:
+                    break
+                if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
+                    continue
+                node = chosen + [(r1, r2)]
+                ndim, nm1, nm2 = dim + d, m1 + t1, m2 + t2
+                for sq, modulus, (_, s1, s2, u1, u2) in closers[c][ndim]:
+                    if not ((nm1 + u1) % modulus or (nm2 + u2) % modulus):
+                        leaf(node + [(s1, s2)], sq)
+                ncol = list(col)
+                nrow = list(row)
+                ncol[r1 & 1] += r2 + 1
+                nrow[r2 & 1] += r1 + 1
+                walk(c + 1, node, ndim, ncol, nrow, nm1, nm2)
 
-            def walk(i, chosen, dim, col, row):
-                if i == size - 1:
-                    _, buckets = classes[subset[i]]
-                    for sq in squares:
-                        need = sq - dim
-                        if need >= 1:
-                            for r1, r2 in buckets.get(need, ()):
-                                leaf(chosen + [(r1, r2)], sq)
-                    return
-                items, _ = classes[subset[i]]
-                remaining = size - 1 - i
-                for d, r1, r2 in items:
-                    if dim + d + remaining > squares[-1]:
-                        break
-                    if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
-                        continue
-                    ncol = list(col)
-                    nrow = list(row)
-                    ncol[r1 & 1] += r2 + 1
-                    nrow[r2 & 1] += r1 + 1
-                    walk(i + 1, chosen + [(r1, r2)], dim + d, ncol, nrow)
-
-            walk(0, [], 0, [0, 0], [0, 0])
+    walk(0, [], 0, [0, 0], [0, 0], 0, 0)
     out.sort(key=lambda x: (x[1], x[0]))
     return tuple(out)
 

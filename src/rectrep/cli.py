@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from math import prod
 
 from .liealg import SemisimpleAlgebra, SimpleType, Weight
 from .charcalc import (AliasError, RepSpec, character_of, dual_weight,
@@ -243,28 +243,18 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [_jsonable(x) for x in sorted(obj)]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, SimpleType):
-        return obj.label
-    if isinstance(obj, SemisimpleAlgebra):
-        return obj.label
     if isinstance(obj, CatalogueItem):
         return {"kind": obj.kind, "params": [str(p) for p in obj.params]}
-    if isinstance(obj, Weight):
-        return [str(x) for x in obj.coords]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(payload: dict, pretty_lines=None, pretty: bool = False) -> None:
+def _emit(payload: dict, pretty_lines: list, pretty: bool) -> None:
     sys.stdout.write(json.dumps(_jsonable(payload), separators=(",", ":"))
                      + "\n")
     if pretty and pretty_lines:
@@ -407,8 +397,9 @@ def _cmd_enumerate(args) -> _Outcome:
                                   algebras=algebras)
     specs = []
     for algebra, spec, ls in found:
+        # a box has one point per dimension
         specs.append({"algebra": algebra.label, "rep": render_spec(spec),
-                      "dimension": spec.dimension, "lengths": list(ls)})
+                      "dimension": prod(ls), "lengths": list(ls)})
     result = {"max_rank": args.max_rank, "max_dim": args.max_dim,
               "count": len(specs), "specs": specs}
     lines = [f"{len(specs)} rectangular specs"]
@@ -471,13 +462,19 @@ def _cmd_census(args) -> _Outcome:
 
 # ---------------------------------------------------------------- driver
 
+class _UsageError(ValueError):
+    """An argparse usage error, raised for `main` to report."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse exits from inside parse_args, so this path emits itself
-        _emit(_envelope(self.prog.split()[-1] if self.prog else "usage",
-                        False, None,
-                        {"code": "usage", "message": message}))
-        raise SystemExit(EXIT_CODES["usage"])
+        # the parser that rejects names the command: a subcommand's prog
+        # is "rectrep <command>"
+        raise _UsageError(self.prog.split()[-1], message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,15 +541,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # until parsing succeeds, --pretty (or a prefix argparse takes for it;
+    # no other option starts with --p) is known only from the raw words
+    command = "rectrep"
+    pretty = any(len(a) > 2 and "--pretty".startswith(a) for a in argv)
     try:
-        args, extra = parser.parse_known_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args, extra = build_parser().parse_known_args(argv)
+        command, pretty = args.command, args.pretty
         if extra:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         result, lines, error = args.func(args)
+    except SystemExit as e:
+        # --help printed its text
+        return int(e.code or 0)
+    except _UsageError as e:
+        command = e.command
+        result, lines, error = None, [str(e)], {"code": "usage",
+                                                "message": str(e)}
     except ParseError as e:
         result, lines, error = None, [str(e)], {"code": "parse",
                                                 "message": str(e)}
@@ -564,8 +570,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         result, lines, error = None, [str(e)], {"code": "usage",
                                                 "message": str(e)}
-    _emit(_envelope(args.command, error is None, result, error), lines,
-          args.pretty)
+    _emit(_envelope(command, error is None, result, error), lines, pretty)
     return EXIT_OK if error is None else EXIT_CODES[error["code"]]
 
 

@@ -384,13 +384,15 @@ def dominant_weights_up_to_dim_fraction(t: SimpleType, max_dim: int):
 def a1_pair_parts_without_moment_cut(budget: int):
     """`classify._a1_pair_parts` as it was before the second-moment cut.
 
-    Same contract and the same search: four parity slots, grid products
-    skipped, the square-mass lookup on the last slot and the column and
-    row `profile` bound, but no moment test, so every leaf that passes
-    the profile bound is built and sent to the detector.  It keeps the
-    faithfulness, `profile` and support-count tests that the production
-    search has since dropped as implied by the split test or left to the
-    detector.  Returns (summands, dim, lengths) tuples.
+    Same contract, independent formulation: one walk per subset of the
+    four parity slots (the production search walks the classes once),
+    grid products skipped, the square-mass lookup on the last slot and
+    the column and row `profile` bound, but no moment test, so every
+    leaf that passes the profile bound is built and sent to the
+    detector.  It keeps the faithfulness, `profile` and support-count
+    tests that the production search has since dropped as implied by the
+    split test or left to the detector.  Returns (summands, dim, lengths)
+    tuples.
     """
     lmax = isqrt(budget)
     if lmax < 2:

@@ -317,3 +317,15 @@ def test_cli_installed_entry_point_runs():
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True
         assert payload["result"]["dimension"] == "2"
+
+
+def test_catalogue_table_script_runs_without_an_install(tmp_path):
+    # the script finds src/ from its own path, from any working directory
+    script = Path(__file__).resolve().parent.parent / "scripts" / "catalogue_table.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with timed(30.0):
+        proc = subprocess.run(
+            [sys.executable, str(script), "--max-rank", "2", "--max-dim", "8"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "12 items with rank <= 2, dim <= 8"

@@ -2,7 +2,8 @@ from math import prod
 
 import pytest
 
-from rectrep import (CatalogueItem, NotFaithfulError, NotRectangularError,
+from rectrep import (CatalogueItem, CatalogueMismatchError, NotFaithfulError,
+                     NotRectangularError,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
                      decompose, detect_rectangular, detect_rectangular_points,
@@ -95,8 +96,8 @@ def test_decompose_tensor_of_two_items():
 
 
 def test_decompose_pairs_up_a1_quadruple():
-    # Spin(D2) x Spin(D2): the cross-support test must pair {0,1} and
-    # {2,3}, never {0,2}, because (1,0,1,0) appears in the support
+    # Spin(D2) x Spin(D2): the pair match must take {0,1} and {2,3},
+    # never {0,2}, whose restriction is not multiplicity-constant
     alg = SemisimpleAlgebra.parse("A1*A1*A1*A1")
     spec = RepSpec.make(alg, [((1, 0, 1, 0), 1), ((1, 0, 0, 1), 1),
                               ((0, 1, 1, 0), 1), ((0, 1, 0, 1), 1)])
@@ -125,6 +126,31 @@ def test_decompose_mixed_sym_factors():
     items = sorted((positions, item.label) for positions, item in dec.parts)
     assert items == [((0,), "A1Sym(3)"), ((1,), "A1Sym(2)")]
     assert dec.lengths == (3, 4)
+
+
+def test_decompose_round_trips_enumerated_specs():
+    # every enumerated spec over these algebras, A1 pairs included,
+    # decomposes into items whose lengths are the enumerated ones
+    found = enumerate_rectangular(4, 64, algebras=["A1*A1*A1*A1", "A1*B2*A1"])
+    decs = [decompose(spec) for _, spec, _ in found]
+    assert [dec.lengths for dec in decs] == [ls for _, _, ls in found]
+    assert sum(any(item.kind == "D2Spin" for _, item in dec.parts)
+               for dec in decs) > 1
+
+
+def test_decompose_reports_catalogue_mismatches(monkeypatch):
+    spec = spec_of("A1*B2*A1", [((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1),
+                                ((0, 1, 0, 1), 1), ((0, 0, 1, 1), 1)])
+    with monkeypatch.context() as m:
+        m.setattr("rectrep.classify._catalogue_items_over",
+                  lambda algebra, mass: ())
+        with pytest.raises(CatalogueMismatchError,
+                           match=r"positions \[0, 1, 2\] of A1\*B2\*A1"):
+            decompose(spec)
+    with monkeypatch.context() as m:
+        m.setattr("rectrep.classify._tensor_coords", lambda algebra, parts: {})
+        with pytest.raises(CatalogueMismatchError, match="reassembled"):
+            decompose(spec)
 
 
 def test_decompose_rejections():
@@ -242,6 +268,8 @@ def test_enumerated_lengths_match_detection(max_rank, max_dim, algebras):
         cert = detect_rectangular(from_character(character_of(spec)))
         assert ls == lengths(with_ambient_padding(cert, alg.rank)), (
             alg.label, spec)
+        # a box has one point per dimension, as `enumerate` prints it
+        assert spec.dimension == prod(ls)
 
 
 def test_closure_contains_singletons_and_tensors():

@@ -454,6 +454,43 @@ def test_outcome_bytes_for_a_fixed_battery(capsys):
     assert digest.hexdigest() == OUTCOME_SHA256
 
 
+@pytest.mark.parametrize("pretty", ["--pretty", "--pre"])
+def test_argparse_usage_error_honours_pretty(capsys, pretty):
+    # argparse's own rejections take main's outcome path like the others,
+    # and it accepts a prefix of --pretty there too
+    code, payload, captured = run(capsys, "rect", "--algebra", "B2", pretty)
+    assert code == EXIT_CODES["usage"]
+    assert payload["command"] == "rect"
+    message = "the following arguments are required: --rep"
+    assert payload["error"] == {"code": "usage", "message": message}
+    assert captured.err == message + "\n"
+
+
+def _no_catalogue_match(monkeypatch):
+    monkeypatch.setattr("rectrep.classify._catalogue_items_over",
+                        lambda algebra, mass: ())
+
+
+def _rebuild_mismatch(monkeypatch):
+    monkeypatch.setattr("rectrep.classify._tensor_coords",
+                        lambda algebra, parts: {})
+
+
+@pytest.mark.parametrize("force, message", [
+    (_no_catalogue_match,
+     "factors at positions [0, 1] of A1*A1 match no catalogue item"),
+    (_rebuild_mismatch, "reassembled tensor does not match the input"),
+])
+def test_decompose_catalogue_mismatch_exits_internal(capsys, monkeypatch,
+                                                     force, message):
+    force(monkeypatch)
+    code, payload, _ = run(capsys, "decompose", "--algebra", "A1*A1",
+                           "--rep", "std*triv + triv*std")
+    assert code == EXIT_CODES["internal"] == 5
+    assert payload["ok"] is False
+    assert payload["error"] == {"code": "internal", "message": message}
+
+
 def test_pretty_goes_to_stderr_only(capsys):
     code, payload, captured = run(capsys, "rect", "--algebra", "B2",
                                   "--rep", "std + spin", "--pretty")
