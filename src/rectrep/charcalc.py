@@ -22,22 +22,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exactlin import IntVector, mat_vec, solve_exact, vec_dot
-from .liealg import (SemisimpleAlgebra, SimpleType, Weight,
+from .exactlin import IntVector, mat_vec, rational_rref, vec_dot
+from .liealg import (SemisimpleAlgebra, SimpleType, Weight, cartan_matrix,
                      dominant_conjugate_coords, positive_root_coords,
                      symmetrizer, weyl_orbit_coords)
 
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(t: SimpleType) -> tuple[tuple[Fraction, ...], ...]:
-    from .liealg import cartan_matrix
-    c = cartan_matrix(t)
+    """C^-1, read off the reduced echelon form of [C | I].
+
+    C is invertible, so row i of the form is (k.e_i | k.C^-1_i) with the
+    pivot k > 0.
+    """
     m = t.rank
-    cols = []
-    for j in range(m):
-        unit = tuple(int(i == j) for i in range(m))
-        cols.append(solve_exact(c, unit))
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+    rows = rational_rref([list(row) + [int(i == j) for j in range(m)]
+                          for i, row in enumerate(cartan_matrix(t))])
+    return tuple(tuple(Fraction(row[m + j], row[i]) for j in range(m))
+                 for i, row in enumerate(rows))
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +93,6 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
     C^-1 = diag(d)^-1.G = diag(n.d)^-1.Gi, so the bounds are floor
     divisions of Gi.hw.
     """
-    from .liealg import cartan_matrix
     m = t.rank
     c = cartan_matrix(t)
     n, gi, _ = _root_data(t)
@@ -264,29 +265,10 @@ def character_of(spec: RepSpec) -> FormalCharacter:
     return FormalCharacter(spec.algebra, out)
 
 
-def external_tensor(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
-    algebra = SemisimpleAlgebra(c1.algebra.factors + c2.algebra.factors)
-    entries = {u + v: mu * mv
-               for u, mu in c1.entries.items()
-               for v, mv in c2.entries.items()}
-    return FormalCharacter(algebra, entries)
-
-
-def dual(c: FormalCharacter) -> FormalCharacter:
-    return FormalCharacter(c.algebra,
-                           {tuple(-x for x in w): m
-                            for w, m in c.entries.items()})
-
-
 def dual_weight(hw: Weight) -> Weight:
     """Highest weight of the dual irreducible."""
     neg = tuple(-x for x in hw.coords)
     return Weight(hw.algebra, dominant_conjugate_coords(hw.algebra, neg))
-
-
-def dual_spec(spec: RepSpec) -> RepSpec:
-    return RepSpec(spec.algebra,
-                   tuple((dual_weight(hw), m) for hw, m in spec.summands))
 
 
 def restrict_to_factors(c: FormalCharacter, part) -> FormalCharacter:

@@ -32,8 +32,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
 
-from .exactlin import (determinant, random_unimodular, rank, rational_rref,
-                       vec_dot, vec_neg)
+from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
+                       vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
 from .charcalc import (RepSpec, character_of, irreducible_character,
@@ -786,30 +786,26 @@ def _howe_expected(t: SimpleType, max_dim: int) -> frozenset:
     alg = SemisimpleAlgebra((t,))
     m = t.rank
     zero = (0,) * m
-
-    def fw(i, k=1):
-        return tuple(k * int(j == i) for j in range(m))
-
     out = {zero}
     fam = t.family
     if fam == "A":
-        for i in range(m):
-            out.add(fw(i))
+        out.update(_fw(m, i) for i in range(m))
         k = 1
-        while weyl_dimension(alg, fw(0, k)) <= max_dim:
-            out.add(fw(0, k))
-            out.add(fw(m - 1, k))
+        # sym k and its dual
+        while weyl_dimension(alg, (k,) + zero[1:]) <= max_dim:
+            out.add((k,) + zero[1:])
+            out.add(zero[1:] + (k,))
             k += 1
     elif fam == "B":
-        out.update([fw(0), fw(m - 1)])
+        out.update([_fw(m, 0), _fw(m, m - 1)])
     elif fam == "C":
-        out.add(fw(0))
+        out.add(_fw(m, 0))
         if m == 3:
-            out.add(fw(2))
+            out.add(_fw(m, 2))
     elif fam == "D":
-        out.update([fw(0), fw(m - 2), fw(m - 1)])
+        out.update([_fw(m, 0), _fw(m, m - 2), _fw(m, m - 1)])
     elif fam == "G":
-        out.add(fw(0))
+        out.add(_fw(m, 0))
     elif fam != "F":
         raise ValueError(f"no expected list for {t.label}")
     return frozenset(w for w in out if weyl_dimension(alg, w) <= max_dim)
@@ -853,6 +849,25 @@ def _bn_roots_ortho(n: int):
     return sorted(roots)
 
 
+def _rich_spans(vectors, k: int, least: int):
+    """The k-spaces spanned by k of the vectors, and the rich ones.
+
+    Returns the number of distinct spans, and (key, members, standard) in
+    key order for each span holding at least `least` of the vectors: key
+    is the span's `rational_rref` form, members the vectors it holds, and
+    standard whether it is spanned by coordinate axes.
+    """
+    spans = {rational_rref(list(sub)) for sub in combinations(vectors, k)}
+    spans = sorted(key for key in spans if len(key) == k)
+    rich = []
+    for key in spans:
+        members = [v for v in vectors if rank(key + (v,)) == k]
+        if len(members) >= least:
+            standard = all(sum(1 for x in row if x) == 1 for row in key)
+            rich.append((key, members, standard))
+    return len(spans), rich
+
+
 def roots_in_plane_census(n: int) -> dict:
     """Census of 2-spaces spanned by root pairs of B_n.
 
@@ -861,21 +876,12 @@ def roots_in_plane_census(n: int) -> dict:
     """
     if not 2 <= n <= 4:
         raise ValueError("census covers 2 <= n <= 4")
-    roots = _bn_roots_ortho(n)
-    planes = {}
-    for a, b in combinations(roots, 2):
-        key = rational_rref([a, b])
-        if len(key) == 2:
-            planes.setdefault(key, None)
+    scanned, found = _rich_spans(_bn_roots_ortho(n), 2, 8)
     rich = []
     violations = []
-    for key in sorted(planes):
-        members = [r for r in roots if rank(key + (r,)) == len(key)]
-        if len(members) < 8:
-            continue
+    for key, members, standard in found:
         longs = [r for r in members if vec_dot(r, r) == 2]
         shorts = [r for r in members if vec_dot(r, r) == 1]
-        standard = all(sum(1 for x in row if x) == 1 for row in key)
         entry = {"basis": key, "roots": len(members),
                  "long": len(longs), "short": len(shorts),
                  "standard": standard}
@@ -886,34 +892,32 @@ def roots_in_plane_census(n: int) -> dict:
     if len(rich) != expected_rich:
         violations.append({"note": f"expected {expected_rich} rich planes, "
                                    f"found {len(rich)}"})
-    return {"n": n, "planes_scanned": len(planes), "rich_planes": len(rich),
+    return {"n": n, "planes_scanned": scanned, "rich_planes": len(rich),
             "violations": violations, "ok": not violations}
 
 
-def _primitive_normal(rref_rows, n: int):
-    """Integer normal of a rank-3 subspace of Q^n (n = 4), primitive."""
-    cof = []
-    idx = list(range(n))
-    for drop in idx:
-        cols = [c for c in idx if c != drop]
-        minor = [[row[c] for c in cols] for row in rref_rows]
-        sign = (-1) ** drop
-        cof.append(sign * determinant(minor))
-    den = 1
-    for x in cof:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in cof]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _primitive_normal(key) -> tuple[int, ...]:
+    """Primitive integer normal of a hyperplane, leading entry positive.
+
+    key is the hyperplane's `rational_rref` form: row i has its pivot
+    p_i > 0 in column c_i and zeros in the other pivot columns.  With
+    L = prod(p_i), the normal has L in the one free column f and
+    -row_i[f].L/p_i in column c_i.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in key]
+    free = next(j for j in range(len(key[0])) if j not in pivots)
+    scale = prod(row[c] for row, c in zip(key, pivots))
+    normal = [0] * len(key[0])
+    normal[free] = scale
+    for row, c in zip(key, pivots):
+        normal[c] = -row[free] * scale // row[c]
+    g = gcd(*normal)
+    if next(x for x in normal if x) < 0:
+        g = -g
+    return tuple(x // g for x in normal)
 
 
-def long_roots_3space_census(n: int = 4) -> dict:
+def long_roots_3space_census(n: int) -> dict:
     """Census of 3-spaces spanned by long-root triples of B_n.
 
     Every 3-space with at least 12 long roots is either standard or, for
@@ -924,33 +928,19 @@ def long_roots_3space_census(n: int = 4) -> dict:
         raise ValueError("census covers n in {3, 4}")
     roots = _bn_roots_ortho(n)
     longs = [r for r in roots if vec_dot(r, r) == 2]
-    spaces = {}
-    for triple in combinations(longs, 3):
-        key = rational_rref(list(triple))
-        if len(key) == 3:
-            spaces.setdefault(key, None)
+    scanned, found = _rich_spans(longs, 3, 12)
     rich = []
     violations = []
-    for key in sorted(spaces):
-        members = [r for r in longs if rank(key + (r,)) == len(key)]
-        if len(members) < 12:
-            continue
-        standard = all(sum(1 for x in row if x) == 1 for row in key)
+    for key, members, standard in found:
         normal = None
         sign_complement = False
         if n == 4 and not standard:
-            normal = _primitive_normal(key, 4)
+            normal = _primitive_normal(key)
             sign_complement = all(abs(x) == 1 for x in normal)
         entry = {"basis": key, "long_roots": len(members),
                  "standard": standard, "normal": normal}
         rich.append(entry)
-        if standard:
-            if len(members) != 12:
-                violations.append(entry)
-        elif sign_complement:
-            if len(members) != 12:
-                violations.append(entry)
-        else:
+        if not (standard or sign_complement) or len(members) != 12:
             violations.append(entry)
     sign_checks = []
     if n == 4:
@@ -960,6 +950,6 @@ def long_roots_3space_census(n: int = 4) -> dict:
             sign_checks.append({"normal": v, "long_roots": count})
             if count != 12:
                 violations.append({"normal": v, "long_roots": count})
-    return {"n": n, "spaces_scanned": len(spaces), "rich_spaces": len(rich),
+    return {"n": n, "spaces_scanned": scanned, "rich_spaces": len(rich),
             "sign_complements": sign_checks,
             "violations": violations, "ok": not violations}

@@ -322,7 +322,7 @@ def _cmd_rect(args) -> _Outcome:
                                    "message": message}
     padded = with_ambient_padding(cert, algebra.rank)
     ls = lengths(padded)
-    side = is_hypercubic(padded)
+    side = is_hypercubic(ls)
     auto = automorphism_order(ls) if ls and min(ls) >= 2 else None
     result = {
         "algebra": algebra.label,
@@ -368,7 +368,7 @@ def _cmd_decompose(args) -> _Outcome:
             "lengths": list(ls),
         })
     total = dec.lengths
-    side = total[0] if total and len(set(total)) == 1 else None
+    side = is_hypercubic(total)
     result = {
         "algebra": algebra.label,
         "rep": render_spec(spec),

@@ -14,6 +14,9 @@ from math import gcd
 IntVector = tuple[int, ...]
 Matrix = tuple[tuple, ...]
 
+# largest absolute entry of a `random_unimodular` matrix
+ENTRY_BOUND = 8
+
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
@@ -75,64 +78,6 @@ def rank(m) -> int:
     return r
 
 
-def solve_exact(a, b):
-    """One exact rational solution of a.x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(b) != nrows:
-        raise ValueError("incompatible shapes")
-    aug = [[Fraction(e) for e in row] + [Fraction(be)] for row, be in zip(a, b)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    return tuple(x)
-
-
-def determinant(m) -> Fraction:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    rows = [[Fraction(e) for e in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[c])]
-    return det
-
-
 def rational_rref(rows) -> tuple[IntVector, ...]:
     """Reduced row echelon form, scaled back to primitive integer rows.
 
@@ -169,17 +114,15 @@ def rational_rref(rows) -> tuple[IntVector, ...]:
     return tuple(out)
 
 
-def random_unimodular(n: int, seed: int, entry_bound: int = 8) -> Matrix:
+def random_unimodular(n: int, seed: int) -> Matrix:
     """Deterministic integer matrix with determinant +-1 and bounded entries.
 
     Starts from the identity and applies seeded elementary row operations.
-    A shear that would push any entry past entry_bound is skipped, so the
+    A shear that would push any entry past ENTRY_BOUND is skipped, so the
     bound always holds and the determinant stays +-1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if entry_bound < 1:
-        raise ValueError("entry_bound must be at least 1")
     rng = random.Random(seed)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(6 * n):
@@ -194,6 +137,6 @@ def random_unimodular(n: int, seed: int, entry_bound: int = 8) -> Matrix:
             i, j = rng.sample(range(n), 2)
             c = rng.choice((-2, -1, 1, 2))
             cand = [e + c * f for e, f in zip(rows[i], rows[j])]
-            if max(abs(e) for e in cand) <= entry_bound:
+            if max(abs(e) for e in cand) <= ENTRY_BOUND:
                 rows[i] = cand
     return tuple(tuple(r) for r in rows)

@@ -15,10 +15,9 @@ f_1, ..., f_(m+1) with f_1 + ... + f_(m+1) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .exactlin import IntVector, vec_add, vec_sub
 
@@ -124,23 +123,8 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def block(self, factor_index: int) -> IntVector:
-        rng = self.algebra.block_ranges()[factor_index]
-        return self.coords[rng.start:rng.stop]
-
     def __repr__(self):
         return f"Weight({self.algebra.label}, {self.coords})"
-
-
-@dataclass(frozen=True)
-class OrthoWeight:
-    """A weight of one classical simple factor in orthogonal coordinates."""
-
-    coords: tuple[Fraction, ...] = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           tuple(Fraction(c) for c in self.coords))
 
 
 def _bonds(t: SimpleType) -> list[tuple[int, int, int, int]]:
@@ -194,21 +178,6 @@ def symmetrizer(t: SimpleType) -> IntVector:
     return (1,) * m
 
 
-def weyl_group_order(t: SimpleType) -> int:
-    fam, m = t.family, t.rank
-    if fam == "A":
-        return factorial(m + 1)
-    if fam in "BC":
-        return 2**m * factorial(m)
-    if fam == "D":
-        return 2 ** (m - 1) * factorial(m)
-    if fam == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[m]
-    if fam == "F":
-        return 1152
-    return 12
-
-
 @lru_cache(maxsize=None)
 def simple_root_coords(t: SimpleType) -> tuple[IntVector, ...]:
     """Simple roots in fundamental-weight coordinates (Cartan columns)."""
@@ -244,11 +213,6 @@ def positive_root_coords(t: SimpleType) -> tuple[IntVector, ...]:
                         fresh.append(cand)
         frontier = fresh
     return tuple(sorted(roots))
-
-
-def positive_roots(t: SimpleType) -> tuple[Weight, ...]:
-    algebra = SemisimpleAlgebra((t,))
-    return tuple(Weight(algebra, c) for c in positive_root_coords(t))
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +263,6 @@ def weyl_orbit_coords(algebra: SemisimpleAlgebra,
     return frozenset(seen)
 
 
-def weyl_orbit(w: Weight) -> frozenset[Weight]:
-    return frozenset(Weight(w.algebra, c)
-                     for c in weyl_orbit_coords(w.algebra, w.coords))
-
-
 @lru_cache(maxsize=None)
 def _ortho_columns(t: SimpleType) -> tuple[tuple[Fraction, ...], ...]:
     """Fundamental weights of a classical type in orthogonal coordinates."""
@@ -345,8 +304,3 @@ def ortho_coords(t: SimpleType, coords: IntVector) -> tuple[Fraction, ...]:
             for j in range(n):
                 out[j] += c * col[j]
     return tuple(out)
-
-
-def to_orthogonal(w: Weight, factor_index: int) -> OrthoWeight:
-    t = w.algebra.factors[factor_index]
-    return OrthoWeight(ortho_coords(t, w.block(factor_index)))

@@ -33,39 +33,28 @@ generality: for a rational point set the witness data is forced to be
 rational — the vertex is a point of S and the edge generators are
 differences of points of S — so an integral certificate exists whenever
 any real one does.
-
-Everything is integer-exact; half-integral orthogonal coordinates are
-cleared into the `denominator` field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import prod
 
-from .exactlin import IntVector, mat_vec, rank, vec_add, vec_sub
+from .exactlin import IntVector, mat_vec, rank, vec_sub
 from .charcalc import FormalCharacter
 
 
 @dataclass(frozen=True)
 class WeightMultiset:
-    """Integer points with multiplicities at scale 1/denominator."""
+    """Integer points with multiplicities, kept sorted."""
 
     dim: int
     points: tuple[tuple[IntVector, int], ...]
-    denominator: int = 1
 
     def __post_init__(self):
-        pts = self.points
-        if isinstance(pts, dict):
-            pts = tuple(sorted(pts.items()))
-        else:
-            pts = tuple(sorted(pts))
+        pts = tuple(sorted(self.points))
         object.__setattr__(self, "points", pts)
-        if self.denominator < 1:
-            raise ValueError("denominator must be positive")
         seen = set()
         for p, m in pts:
             if len(p) != self.dim:
@@ -84,49 +73,14 @@ class WeightMultiset:
     def support(self) -> frozenset[IntVector]:
         return frozenset(p for p, _ in self.points)
 
-    @property
-    def rational_points(self) -> frozenset[tuple[Fraction, ...]]:
-        d = self.denominator
-        return frozenset(tuple(Fraction(x, d) for x in p)
-                         for p, _ in self.points)
-
 
 def from_character(c: FormalCharacter) -> WeightMultiset:
-    return WeightMultiset(c.algebra.rank, tuple(sorted(c.entries.items())))
-
-
-def from_rational_points(points, dim: int) -> WeightMultiset:
-    """Multiplicity-one multiset from exact rational points."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    den = 1
-    for p in pts:
-        for x in p:
-            den = lcm(den, x.denominator)
-    scaled = {tuple(int(x * den) for x in p): 1 for p in pts}
-    if len(scaled) != len(pts):
-        raise ValueError("duplicate points")
-    return WeightMultiset(dim, tuple(sorted(scaled.items())), den)
-
-
-def midpoint_set(s: WeightMultiset) -> WeightMultiset:
-    """All pairwise midpoints (p + q)/2, multiplicity one.
-
-    Exactness is kept by doubling the denominator instead of dividing.
-    """
-    supp = [p for p, _ in s.points]
-    sums = {vec_add(p, q) for p in supp for q in supp}
-    return WeightMultiset(s.dim, tuple((p, 1) for p in sorted(sums)),
-                          2 * s.denominator)
+    return WeightMultiset(c.algebra.rank, tuple(c.entries.items()))
 
 
 def transform(s: WeightMultiset, matrix) -> WeightMultiset:
     pts = tuple((mat_vec(matrix, p), m) for p, m in s.points)
-    return WeightMultiset(len(matrix), pts, s.denominator)
-
-
-def translate(s: WeightMultiset, vec: IntVector) -> WeightMultiset:
-    pts = tuple((vec_add(p, vec), m) for p, m in s.points)
-    return WeightMultiset(s.dim, pts, s.denominator)
+    return WeightMultiset(len(matrix), pts)
 
 
 @dataclass(frozen=True)
@@ -241,11 +195,10 @@ def lengths(cert: RectCertificate) -> tuple[int, ...]:
     return tuple(sorted([d + 1 for d in cert.degrees] + [1] * cert.padding))
 
 
-def is_hypercubic(cert: RectCertificate) -> int | None:
-    ls = set(lengths(cert))
-    if len(ls) == 1:
-        return next(iter(ls))
-    return None
+def is_hypercubic(ls: tuple[int, ...]) -> int | None:
+    """The common side when every length is equal, else None."""
+    sides = set(ls)
+    return next(iter(sides)) if len(sides) == 1 else None
 
 
 def automorphism_order(length_multiset) -> int:

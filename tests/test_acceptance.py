@@ -4,6 +4,7 @@ Every check here is exact (integer / rational equality, no tolerances)
 and carries a wall-clock budget.  Independent oracles live in oracles.py.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,13 +17,13 @@ from random import Random
 import pytest
 
 import rectrep
-from rectrep import (SemisimpleAlgebra, Weight, catalogue_lengths,
+from rectrep import (SemisimpleAlgebra, WeightMultiset, catalogue_lengths,
                      catalogue_spec, character_of, detect_rectangular,
                      detect_rectangular_points, enumerate_rectangular,
                      from_character, is_faithful, iter_catalogue_items,
-                     lengths, long_roots_3space_census, roots_in_plane_census,
-                     to_orthogonal, transform, translate,
-                     verify_classification, verify_howe, with_ambient_padding)
+                     lengths, long_roots_3space_census, ortho_coords,
+                     roots_in_plane_census, transform, verify_classification,
+                     verify_howe, with_ambient_padding)
 from rectrep.charcalc import RepSpec
 from rectrep.cli import main as cli_main
 from rectrep.exactlin import random_unimodular
@@ -53,10 +54,9 @@ def ortho_weight_set(label, summands):
     out = set()
     for coords, m in char.entries.items():
         assert m == 1
-        w = Weight(alg, coords)
         vec = ()
-        for i in range(len(alg.factors)):
-            vec = vec + to_orthogonal(w, i).coords
+        for t, rng in zip(alg.factors, alg.block_ranges()):
+            vec = vec + ortho_coords(t, coords[rng.start:rng.stop])
         out.add(vec)
     return out
 
@@ -227,8 +227,10 @@ def test_nonzero_translations_are_rejected():
                 vec = tuple(rng.randint(-5, 5) for _ in range(alg.rank))
                 while not any(vec):
                     vec = tuple(rng.randint(-5, 5) for _ in range(alg.rank))
-                assert detect_rectangular(translate(s, vec)) is None, (
-                    item.label, vec)
+                moved = WeightMultiset(s.dim, tuple(
+                    (tuple(x + v for x, v in zip(p, vec)), m)
+                    for p, m in s.points))
+                assert detect_rectangular(moved) is None, (item.label, vec)
                 runs += 1
         assert runs == 1000
 
@@ -329,3 +331,24 @@ def test_catalogue_table_script_runs_without_an_install(tmp_path):
             capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "12 items with rank <= 2, dim <= 8"
+
+
+def test_readme_tour_runs_and_shows_true_values():
+    # each bare expression in README's python block ends in a comment whose
+    # text before any " — " is its value
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    ns: dict = {}
+    checked = 0
+    with timed(10.0):
+        for stmt in ast.parse(block).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+                continue
+            line = lines[stmt.end_lineno - 1]
+            comment = line.partition("#")[2].split(" — ")[0]
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns)
+            assert got == ast.literal_eval(comment.strip()), line
+            checked += 1
+    assert checked == 5

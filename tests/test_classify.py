@@ -1,6 +1,8 @@
-from math import prod
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rectrep import (CatalogueItem, CatalogueMismatchError, NotFaithfulError,
                      NotRectangularError,
@@ -13,7 +15,8 @@ from rectrep import (CatalogueItem, CatalogueMismatchError, NotFaithfulError,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
 from rectrep.charcalc import RepSpec
-from rectrep.classify import _a1_pair_parts
+from rectrep.classify import _a1_pair_parts, _primitive_normal
+from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
 from oracles import (a1_pair_parts_without_moment_cut,
@@ -326,3 +329,24 @@ def test_root_censuses_clean():
         rep = long_roots_3space_census(n)
         assert rep["ok"] and rep["violations"] == []
     assert long_roots_3space_census(4)["rich_spaces"] == 12
+
+
+def test_primitive_normal_examples():
+    # the sign flip: the free column gets a positive entry, the lead does not
+    assert _primitive_normal(rational_rref(
+        [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])) == (1, -1, 0, 0)
+    # a pivot other than 1 scales the free column
+    assert _primitive_normal(rational_rref(
+        [(3, -2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])) == (2, 3, 0, 0)
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                min_size=3, max_size=3))
+def test_primitive_normal_is_the_canonical_normal(rows):
+    # orthogonal to the hyperplane, primitive, leading entry positive: that
+    # vector is unique, so the census normals do not depend on how it is found
+    key = rational_rref(rows)
+    assume(len(key) == 3)
+    v = _primitive_normal(key)
+    assert all(vec_dot(row, v) == 0 for row in rows)
+    assert gcd(*v) == 1 and next(x for x in v if x) > 0

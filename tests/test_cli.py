@@ -261,6 +261,18 @@ def test_census_positive(capsys):
     assert_no_bare_ints(payload)
 
 
+# sha256 of the stdout below: the B4 long 3-spaces carry their normals
+CENSUS_MAX_RANK_4_SHA256 = (
+    "5026d78680a8c9b3094bb7372ead578bc2f06e5df6dd9036b5002c6a2b1c658c")
+
+
+def test_census_bytes_at_max_rank_4(capsys):
+    code = main(["census", "--max-rank", "4"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_MAX_RANK_4_SHA256
+
+
 def test_census_negative_unknown_flag(capsys):
     # the top-level parser sees the leftover option; the envelope still
     # names the subcommand it came with

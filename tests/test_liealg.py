@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectrep import (SemisimpleAlgebra, SimpleType, Weight, cartan_matrix,
-                     dominant_conjugate_coords, ortho_coords, positive_roots,
-                     to_orthogonal, weyl_group_order, weyl_orbit)
+from rectrep import (SemisimpleAlgebra, SimpleType, cartan_matrix,
+                     dominant_conjugate_coords, ortho_coords)
+from rectrep.liealg import positive_root_coords, weyl_orbit_coords
 
 TYPES = [SimpleType.parse(s) for s in
          ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4")]
@@ -66,7 +66,7 @@ POSITIVE_ROOT_COUNTS = {
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: t.label)
 def test_positive_root_count(t):
-    roots = positive_roots(t)
+    roots = positive_root_coords(t)
     assert len(roots) == POSITIVE_ROOT_COUNTS[t.family](t.rank)
     assert len(set(roots)) == len(roots)
 
@@ -80,22 +80,24 @@ WEYL_ORDERS = {
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: t.label)
 def test_weyl_group_order(t):
-    assert weyl_group_order(t) == WEYL_ORDERS[t.label]
+    # W acts simply transitively on the orbit of a regular weight, e.g. rho
+    orbit = weyl_orbit_coords(SemisimpleAlgebra((t,)), (1,) * t.rank)
+    assert len(orbit) == WEYL_ORDERS[t.label]
 
 
-def _w(label, coords):
-    return Weight(SemisimpleAlgebra.parse(label), tuple(coords))
+def _orbit(label, coords):
+    return weyl_orbit_coords(SemisimpleAlgebra.parse(label), coords)
 
 
 def test_weyl_orbit_sizes():
-    assert len(weyl_orbit(_w("A2", (1, 0)))) == 3
-    assert len(weyl_orbit(_w("A2", (1, 1)))) == 6
-    assert len(weyl_orbit(_w("B2", (0, 1)))) == 4
-    assert len(weyl_orbit(_w("B3", (0, 0, 1)))) == 8
-    assert len(weyl_orbit(_w("D4", (1, 0, 0, 0)))) == 8
-    assert len(weyl_orbit(_w("G2", (1, 0)))) == 6
+    assert len(_orbit("A2", (1, 0))) == 3
+    assert len(_orbit("A2", (1, 1))) == 6
+    assert len(_orbit("B2", (0, 1))) == 4
+    assert len(_orbit("B3", (0, 0, 1))) == 8
+    assert len(_orbit("D4", (1, 0, 0, 0))) == 8
+    assert len(_orbit("G2", (1, 0))) == 6
     # orbits on a product algebra multiply
-    assert len(weyl_orbit(_w("A1*B2", (1, 0, 1)))) == 2 * 4
+    assert len(_orbit("A1*B2", (1, 0, 1))) == 2 * 4
 
 
 small_coords = st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=2)
@@ -109,7 +111,7 @@ def test_dominant_conjugate_is_dominant_and_idempotent(label, coords):
     assert all(c >= 0 for c in d)
     assert dominant_conjugate_coords(alg, d) == d
     # the dominant conjugate stays in the Weyl orbit
-    assert Weight(alg, d) in weyl_orbit(Weight(alg, tuple(coords)))
+    assert d in weyl_orbit_coords(alg, tuple(coords))
 
 
 def test_ortho_coords_b_family():
@@ -128,9 +130,9 @@ def test_ortho_coords_a_family_sum_zero():
 
 
 def test_ortho_orbit_b3_std_is_signed_axes():
-    alg = SemisimpleAlgebra.parse("B3")
-    orbit = weyl_orbit(Weight(alg, (1, 0, 0)))
-    got = {to_orthogonal(w, 0).coords for w in orbit}
+    b3 = SimpleType.parse("B3")
+    orbit = weyl_orbit_coords(SemisimpleAlgebra((b3,)), (1, 0, 0))
+    got = {ortho_coords(b3, w) for w in orbit}
     axes = set()
     for i in range(3):
         for s in (1, -1):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from rectrep import (RectCertificate, WeightMultiset, automorphism_order,
                      detect_rectangular, detect_rectangular_points,
-                     from_rational_points, is_hypercubic, lengths,
-                     midpoint_set, transform, translate, verify_certificate,
+                     is_hypercubic, lengths, transform, verify_certificate,
                      with_ambient_padding)
 from rectrep.exactlin import mat_vec, random_unimodular
 
@@ -29,15 +27,6 @@ def test_multiset_validation():
         WeightMultiset(2, (((0,), 1),))
     with pytest.raises(ValueError, match="positive"):
         WeightMultiset(1, (((0,), 0),))
-    with pytest.raises(ValueError, match="denominator"):
-        WeightMultiset(1, (((0,), 1),), 0)
-
-
-def test_from_rational_points_scales():
-    s = from_rational_points([(Fraction(1, 2), Fraction(-1, 2))], 2)
-    assert s.denominator == 2
-    assert s.points == (((1, -1), 1),)
-    assert s.rational_points == {(Fraction(1, 2), Fraction(-1, 2))}
 
 
 def test_detect_degenerate_inputs():
@@ -87,20 +76,18 @@ def test_detect_rejects_near_boxes():
     assert detect_rectangular_points(pts | {(4, 4), (-4, -4)}, 2) is None
 
 
+def translate(s, vec):
+    return WeightMultiset(s.dim, tuple(
+        (tuple(x + v for x, v in zip(p, vec)), m) for p, m in s.points))
+
+
 def test_transform_translate_roundtrip():
     s = WeightMultiset(2, tuple((p, 1) for p in standard_box([1, 1])))
     moved = translate(s, (2, -1))
+    assert moved != s
     assert translate(moved, (-2, 1)) == s
     flipped = transform(s, ((0, 1), (1, 0)))
     assert flipped.support == s.support
-
-
-def test_midpoint_set_of_box():
-    s = WeightMultiset(2, tuple((p, 1) for p in standard_box([2, 2])))
-    mid = midpoint_set(s)
-    # midpoints of Z_d fill the odd steps too: 2d+1 values per axis
-    assert mid.mass == 5 * 5
-    assert mid.denominator == 2
 
 
 def test_certificate_validation_and_padding():
@@ -109,7 +96,7 @@ def test_certificate_validation_and_padding():
     cert = detect_rectangular_points(standard_box([2]), 1)
     padded = with_ambient_padding(cert, 3)
     assert lengths(padded) == (1, 1, 3)
-    assert is_hypercubic(padded) is None
+    assert is_hypercubic(lengths(padded)) is None
     with pytest.raises(ValueError):
         with_ambient_padding(cert, 0)
 
@@ -137,9 +124,10 @@ def test_verify_certificate_rejects_forgeries():
 
 def test_is_hypercubic():
     cert = detect_rectangular_points(standard_box([1, 1, 1]), 3)
-    assert is_hypercubic(cert) == 2
+    assert is_hypercubic(lengths(cert)) == 2
     cert = detect_rectangular_points(standard_box([1, 2]), 2)
-    assert is_hypercubic(cert) is None
+    assert is_hypercubic(lengths(cert)) is None
+    assert is_hypercubic(()) is None
 
 
 @pytest.mark.parametrize("ls", [(2,), (9,), (2, 2), (2, 3), (3, 3), (2, 2, 2)])
