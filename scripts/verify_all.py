@@ -3,7 +3,8 @@
 
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
 orderly enumerator vs. the assembly over every A1 pairing and ordering
-at (4, 256), the multiplicity-free lists for all supported simple types,
+at (4, 256), `decompose` vs. its detector-first form on every spec at
+(4, 256), the multiplicity-free lists for all supported simple types,
 the root-geometry censuses, and (with --sweep) the exhaustive detector
 comparison on the 7x7 grid, a differential of the greedy detector
 against the old quadratic one on seeded random 3-D and 4-D sets, a
@@ -22,10 +23,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rectrep import (SimpleType, enumerate_rectangular,
+from rectrep import (SimpleType, decompose, enumerate_rectangular,
                      long_roots_3space_census, roots_in_plane_census,
                      verify_classification, verify_howe)
-from oracles import enumerate_rectangular_all_orderings
+from oracles import (decompose_detector_first, decompose_outcome,
+                     enumerate_rectangular_all_orderings)
 
 HOWE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
 CHAR_TYPES = HOWE_TYPES + ("C4",)
@@ -68,6 +70,14 @@ def main() -> int:
     all_ok &= check("orderly vs all-orderings enumeration rank<=4 dim<=256",
                     found == enumerate_rectangular_all_orderings(4, 256),
                     f"specs={len(found)} ({time.monotonic() - t:.1f}s)")
+
+    t = time.monotonic()
+    bad = sum(decompose_outcome(decompose, spec)
+              != decompose_outcome(decompose_detector_first, spec)
+              for _, spec, _ in found)
+    all_ok &= check("decompose vs detector-first decompose rank<=4 dim<=256",
+                    bad == 0, f"specs={len(found)} disagreements={bad} "
+                    f"({time.monotonic() - t:.1f}s)")
 
     for label in HOWE_TYPES:
         rep = verify_howe(SimpleType.parse(label), args.howe_dim)

@@ -118,7 +118,14 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
 
 @lru_cache(maxsize=None)
 def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, int], ...]:
-    """Full weight multiset of one simple-factor irreducible (Freudenthal)."""
+    """Full weight multiset of one simple-factor irreducible (Freudenthal).
+
+    Dominant weights are taken by depth, and each multiplicity, once
+    found, is written on the weight's whole Weyl orbit.  A string weight
+    nu = mu + k.alpha lies strictly above mu, so its dominant conjugate is
+    shallower than mu and its orbit is already in the table (or nu is no
+    weight): the string walk reads nu itself, with no reflection.
+    """
     if any(x < 0 for x in hw):
         raise ValueError(f"highest weight {hw} is not dominant")
     alg = _single_algebra(t)
@@ -128,33 +135,27 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
         return vec_dot(v, mat_vec(gi, v))
 
     top_norm = norm(tuple(x + 1 for x in hw))
-    mults: dict[IntVector, int] = {}
+    known: dict[IntVector, int] = {}
     for mu in _dominant_weights(t, hw):
-        if mu == hw:
-            mults[mu] = 1
-            continue
-        total = 0
-        for alpha, galpha, _ in roots:
-            ip, step = vec_dot(mu, galpha), vec_dot(alpha, galpha)
-            k = 1
-            while True:
-                nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                known = mults.get(dominant_conjugate_coords(alg, nu))
-                if known is None:
-                    break
-                ip += step
-                total += known * ip
-                k += 1
-        mult, rem = divmod(2 * total, top_norm - norm(tuple(x + 1 for x in mu)))
-        if rem or mult <= 0:
-            raise AssertionError(f"non-integral multiplicity at {mu}")
-        mults[mu] = mult
-    entries = []
-    for mu, mult in mults.items():
-        for w in weyl_orbit_coords(alg, mu):
-            entries.append((w, mult))
-    entries.sort()
-    return tuple(entries)
+        mult = 1
+        if mu != hw:
+            total = 0
+            for alpha, galpha, _ in roots:
+                ip, step = vec_dot(mu, galpha), vec_dot(alpha, galpha)
+                nu = mu
+                while True:
+                    nu = tuple(a + b for a, b in zip(nu, alpha))
+                    m = known.get(nu)
+                    if m is None:
+                        break
+                    ip += step
+                    total += m * ip
+            mult, rem = divmod(2 * total,
+                               top_norm - norm(tuple(x + 1 for x in mu)))
+            if rem or mult <= 0:
+                raise AssertionError(f"non-integral multiplicity at {mu}")
+        known.update(dict.fromkeys(weyl_orbit_coords(alg, mu), mult))
+    return tuple(sorted(known.items()))
 
 
 @dataclass

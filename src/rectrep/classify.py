@@ -39,9 +39,9 @@ from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
 from .charcalc import (RepSpec, character_of, irreducible_character,
                        is_faithful, is_multiplicity_free,
                        restrict_to_factors, weyl_dimension)
-from .rectkit import (WeightMultiset, detect_rectangular,
-                      detect_rectangular_points, from_character, lengths,
-                      transform, with_ambient_padding)
+from .rectkit import (detect_rectangular, detect_rectangular_points,
+                      from_character, lengths, transform,
+                      with_ambient_padding)
 
 MAX_RANK = 4
 MAX_DIM = 256
@@ -186,9 +186,15 @@ class Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _item_support(item: CatalogueItem) -> frozenset:
-    _, spec = catalogue_spec(item)
-    return character_of(spec).support
+def _item_character(item: CatalogueItem) -> dict:
+    """The item's character entries {coords: mult}, built once; read only."""
+    return character_of(catalogue_spec(item)[1]).entries
+
+
+@lru_cache(maxsize=None)
+def _item_support(item: CatalogueItem):
+    """The item's support, a set-like view of its cached character."""
+    return _item_character(item).keys()
 
 
 @lru_cache(maxsize=None)
@@ -218,34 +224,49 @@ def _tensor_coords(algebra: SemisimpleAlgebra, parts) -> dict:
     return {tuple(w[i] for i in order): m for w, m in out.items()}
 
 
-def _rect_reason(s: WeightMultiset) -> str:
-    if any(m != 1 for _, m in s.points):
+def _rect_reason(entries: dict) -> str | None:
+    """The O(N) test that rejects a weight multiset {point: mult}, or None."""
+    if any(m != 1 for m in entries.values()):
         return "multiplicity"
-    supp = s.support
-    if any(vec_neg(p) not in supp for p in supp):
+    if any(vec_neg(p) not in entries for p in entries):
         return "asymmetry"
-    return "box mismatch"
+    return None
 
 
 def decompose(spec: RepSpec) -> Decomposition:
     """Factor a faithful rectangular representation over the catalogue.
 
-    Each simple factor, and then each pair of the factors left over, is
-    matched against the catalogue items over that sub-algebra: the
-    restricted character must be a constant multiple of the item's
-    character, so equal multiplicities on the item's support.  A part of
-    a tensor product restricts that way; a factor of a multi-factor part
-    does not, since its restriction is not multiplicity-constant.  The
+    The O(N) multiplicity and symmetry tests run first.  Then each simple
+    factor, and then each pair of the factors left over, is matched
+    against the catalogue items over that sub-algebra: the restricted
+    character must be a constant multiple of the item's character, so
+    equal multiplicities on the item's support.  A part of a tensor
+    product restricts that way; a factor of a multi-factor part does
+    not, since its restriction is not multiplicity-constant.  The
     external tensor of the matched items is rebuilt and compared against
     the input character exactly.
+
+    The rebuild, not the box detector, proves rectangularity.  A rebuild
+    equal to the input makes the input an external tensor of catalogue
+    items, each a box image (its lengths are checked against detection
+    in the tests).  A tensor of boxes is a box with the joined lengths,
+    and the detector is exact on box images, so it would accept the
+    input with `Decomposition.lengths`.  The detector runs only when
+    some factor matches no item or the rebuild differs, to tell a
+    non-box input ("box mismatch") from a gap in the catalogue.
     """
     if not is_faithful(spec):
         raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
     full = character_of(spec)
-    s = from_character(full)
-    cert = detect_rectangular(s)
-    if cert is None:
-        raise NotRectangularError(_rect_reason(s))
+    reason = _rect_reason(full.entries)
+    if reason is not None:
+        raise NotRectangularError(reason)
+
+    def failure(message: str) -> Exception:
+        if detect_rectangular(from_character(full)) is None:
+            return NotRectangularError("box mismatch")
+        return CatalogueMismatchError(message)
+
     factors = spec.algebra.factors
     parts: list[tuple[tuple[int, ...], CatalogueItem]] = []
     taken: set[int] = set()
@@ -265,15 +286,13 @@ def decompose(spec: RepSpec) -> Decomposition:
                 taken.update(positions)
     if len(taken) < len(factors):
         left = sorted(set(range(len(factors))) - taken)
-        raise CatalogueMismatchError(
-            f"factors at positions {left} of {spec.algebra.label} match no "
-            "catalogue item")
+        raise failure(f"factors at positions {left} of {spec.algebra.label} "
+                      "match no catalogue item")
     parts.sort()
     rebuilt = _tensor_coords(spec.algebra, [
-        (positions, character_of(catalogue_spec(item)[1]).entries)
-        for positions, item in parts])
+        (positions, _item_character(item)) for positions, item in parts])
     if rebuilt != full.entries:
-        raise CatalogueMismatchError("reassembled tensor does not match the input")
+        raise failure("reassembled tensor does not match the input")
     return Decomposition(tuple(parts))
 
 

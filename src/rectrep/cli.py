@@ -311,10 +311,10 @@ def _cmd_char(args) -> _Outcome:
 
 def _cmd_rect(args) -> _Outcome:
     algebra, spec = _load_spec(args)
-    s = from_character(character_of(spec))
-    cert = detect_rectangular(s)
+    char = character_of(spec)
+    cert = detect_rectangular(from_character(char))
     if cert is None:
-        reason = classify._rect_reason(s)
+        reason = classify._rect_reason(char.entries) or "box mismatch"
         result = {"algebra": algebra.label, "rep": render_spec(spec),
                   "rectangular": False, "reason": reason}
         message = f"not rectangular: {reason}"

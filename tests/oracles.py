@@ -9,7 +9,9 @@ the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
 library used before its integer-scaled ones, the A1-pair part search
 before its second-moment cut, and the enumerator's assembly over every
 A1 pairing and every ordering of equal parts before orderly assembly,
-are kept here as the references for differential tests.
+and `decompose` as it was when the box detector, not the exact rebuild,
+decided rectangularity, are kept here as the references for
+differential tests.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from itertools import combinations, product
 from math import isqrt, prod
 from random import Random
 
-from rectrep import (RectCertificate, SemisimpleAlgebra, canonical_form,
-                     character_of, classify, detect_rectangular_points,
-                     is_faithful, irreducible_character, lengths,
-                     multiplicity_free_irreps, weyl_dimension,
-                     with_ambient_padding)
+from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
+                     NotRectangularError, RectCertificate, SemisimpleAlgebra,
+                     canonical_form, catalogue_spec, character_of, classify,
+                     detect_rectangular, detect_rectangular_points,
+                     from_character, is_faithful, irreducible_character,
+                     lengths, multiplicity_free_irreps, restrict_to_factors,
+                     weyl_dimension, with_ambient_padding)
 from rectrep.charcalc import RepSpec, _cartan_inverse, _gram
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
                               vec_sub)
@@ -558,3 +562,65 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
 
             assemble(0, [], 1)
     return sorted(results.values(), key=classify._result_key)
+
+
+def decompose_detector_first(spec: RepSpec) -> Decomposition:
+    """`classify.decompose` as it was before the rebuild proved rectangularity.
+
+    Same contract: the full box detector runs on every faithful input
+    first, a rejection takes its reason from the multiplicity and
+    symmetry tests, and only an accepted input is matched against the
+    catalogue and rebuilt, each item character built anew.  The
+    catalogue lookup and the tensor rebuild are read from `classify` at
+    call time, so a test that replaces them replaces them here too.
+    """
+    if not is_faithful(spec):
+        raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
+    full = character_of(spec)
+    s = from_character(full)
+    if detect_rectangular(s) is None:
+        if any(m != 1 for _, m in s.points):
+            raise NotRectangularError("multiplicity")
+        if any(tuple(-x for x in p) not in s.support for p in s.support):
+            raise NotRectangularError("asymmetry")
+        raise NotRectangularError("box mismatch")
+    factors = spec.algebra.factors
+    parts = []
+    taken: set[int] = set()
+    for size in (1, 2):
+        for positions in combinations(range(len(factors)), size):
+            if not taken.isdisjoint(positions):
+                continue
+            restr = restrict_to_factors(full, positions)
+            if len(set(restr.entries.values())) != 1:
+                continue
+            sub = SemisimpleAlgebra(tuple(factors[j] for j in positions))
+            support = restr.support
+            match = next((item for item in classify._catalogue_items_over(
+                              sub, len(support))
+                          if character_of(catalogue_spec(item)[1]).support
+                          == support), None)
+            if match is not None:
+                parts.append((positions, match))
+                taken.update(positions)
+    if len(taken) < len(factors):
+        left = sorted(set(range(len(factors))) - taken)
+        raise CatalogueMismatchError(
+            f"factors at positions {left} of {spec.algebra.label} match no "
+            "catalogue item")
+    parts.sort()
+    rebuilt = classify._tensor_coords(spec.algebra, [
+        (positions, character_of(catalogue_spec(item)[1]).entries)
+        for positions, item in parts])
+    if rebuilt != full.entries:
+        raise CatalogueMismatchError("reassembled tensor does not match the input")
+    return Decomposition(tuple(parts))
+
+
+def decompose_outcome(decompose_fn, spec: RepSpec):
+    """What decompose_fn does with spec: its Decomposition, or the error's
+    (type, reason, message); `reason` is None except on NotRectangularError."""
+    try:
+        return decompose_fn(spec)
+    except (NotFaithfulError, NotRectangularError, CatalogueMismatchError) as e:
+        return type(e), getattr(e, "reason", None), str(e)

@@ -20,8 +20,8 @@ import rectrep
 from rectrep import (SemisimpleAlgebra, WeightMultiset, catalogue_lengths,
                      catalogue_spec, character_of, detect_rectangular,
                      detect_rectangular_points, enumerate_rectangular,
-                     from_character, is_faithful, iter_catalogue_items,
-                     lengths, long_roots_3space_census, ortho_coords,
+                     from_character, iter_catalogue_items, lengths,
+                     long_roots_3space_census, ortho_coords,
                      roots_in_plane_census, transform, verify_classification,
                      verify_howe, with_ambient_padding)
 from rectrep.charcalc import RepSpec

@@ -62,6 +62,19 @@ def test_integer_freudenthal_matches_fraction_oracle(label):
         assert weyl_dimension(alg, hw) == weyl_dimension_fraction(t, hw)
 
 
+# long A1 root strings, and A2 weights whose multiplicities reach 8
+LARGE_WEIGHTS = [("A1", (300,)), ("A1", (301,)), ("A2", (12, 0)),
+                 ("A2", (0, 13)), ("A2", (9, 6)), ("A2", (7, 7))]
+
+
+@pytest.mark.parametrize("label,hw", LARGE_WEIGHTS,
+                         ids=[f"{l}-{','.join(map(str, hw))}"
+                              for l, hw in LARGE_WEIGHTS])
+def test_integer_freudenthal_matches_fraction_oracle_at_large_weights(label, hw):
+    t = SimpleType.parse(label)
+    assert _simple_character(t, hw) == simple_character_fraction(t, hw)
+
+
 def test_product_weyl_dimension_matches_fraction_oracle():
     alg = SemisimpleAlgebra.parse("A2*B3*G2")
     hw = (2, 1, 0, 1, 1, 1, 0)

@@ -1,11 +1,12 @@
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rectrep import (CatalogueItem, CatalogueMismatchError, NotFaithfulError,
-                     NotRectangularError,
+from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
+                     NotFaithfulError, NotRectangularError,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
                      decompose, detect_rectangular, detect_rectangular_points,
@@ -20,6 +21,7 @@ from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
 from oracles import (a1_pair_parts_without_moment_cut,
+                     decompose_detector_first, decompose_outcome,
                      enumerate_rectangular_all_orderings, grid_rect_oracle,
                      prune_free_rectangular, random_symmetric_sets,
                      symmetric_sets)
@@ -170,6 +172,64 @@ def test_decompose_rejections():
     with pytest.raises(NotRectangularError) as e:
         decompose(spec_of("B2", [((1, 0), 1)]))
     assert e.value.reason == "box mismatch"
+
+
+def same_decompose_outcome(spec):
+    """decompose's outcome on spec, asserted equal to the oracle's; a
+    Decomposition comes back as the string "decomposes"."""
+    outcome = decompose_outcome(decompose, spec)
+    assert outcome == decompose_outcome(decompose_detector_first, spec), spec
+    return "decomposes" if isinstance(outcome, Decomposition) else outcome[:2]
+
+
+def test_decompose_matches_detector_first_oracle():
+    # each catalogue item at (4, 64) as it is, with its summands doubled,
+    # with a trivial summand added and tensored with A2's std; then every
+    # enumerated spec at (3, 128) and every sum of one to three distinct
+    # Sym^a x Sym^b (a, b <= 3) over A1*A1
+    seen = set()
+    for item in iter_catalogue_items(4, 64):
+        alg, spec = catalogue_spec(item)
+        summands = [(hw.coords, m) for hw, m in spec.summands]
+        a2 = SemisimpleAlgebra(alg.factors + (SimpleType("A", 2),))
+        for variant in (spec,
+                        RepSpec.make(alg, [(c, 2 * m) for c, m in summands]),
+                        RepSpec.make(alg, summands + [((0,) * alg.rank, 1)]),
+                        RepSpec.make(a2, [(c + (1, 0), m) for c, m in summands])):
+            seen.add(same_decompose_outcome(variant))
+    for _, spec, _ in enumerate_rectangular(3, 128):
+        assert same_decompose_outcome(spec) == "decomposes"
+    irreps = list(product(range(4), repeat=2))
+    for k in (1, 2, 3):
+        for chosen in combinations(irreps, k):
+            seen.add(same_decompose_outcome(spec_of("A1*A1", [(c, 1) for c in chosen])))
+    # each factor restricts to 4 x A1PairSym(1,0), yet the sum is no tensor,
+    # so this input fails the rebuild rather than the matching
+    assert same_decompose_outcome(spec_of("A1*A1*A1", [
+        ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)])) == (
+        NotRectangularError, "box mismatch")
+    assert seen == {"decomposes", (NotFaithfulError, None),
+                    (NotRectangularError, "multiplicity"),
+                    (NotRectangularError, "asymmetry"),
+                    (NotRectangularError, "box mismatch")}
+
+
+@pytest.mark.parametrize("target, fake", [
+    ("_catalogue_items_over", lambda algebra, mass: ()),
+    ("_tensor_coords", lambda algebra, parts: {}),
+])
+def test_decompose_matches_oracle_when_catalogue_fails(monkeypatch, target,
+                                                       fake):
+    # a catalogue with no matching item, or a rebuild that never matches:
+    # a box input is a CatalogueMismatchError, any other a box mismatch
+    monkeypatch.setattr(f"rectrep.classify.{target}", fake)
+    d2spin = spec_of("A1*A1", [((1, 0), 1), ((0, 1), 1)])
+    assert same_decompose_outcome(d2spin)[0] is CatalogueMismatchError
+    assert same_decompose_outcome(spec_of("A1*B2*A1", [
+        ((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1), ((0, 1, 0, 1), 1),
+        ((0, 0, 1, 1), 1)]))[0] is CatalogueMismatchError
+    assert same_decompose_outcome(spec_of("B2", [((1, 0), 1)])) == (
+        NotRectangularError, "box mismatch")
 
 
 def test_decompose_reassembly_matches_lengths():

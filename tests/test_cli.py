@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rectrep import SemisimpleAlgebra, catalogue_spec, iter_catalogue_items
+from rectrep import catalogue_spec, iter_catalogue_items
 from rectrep.classify import roots_in_plane_census, verify_classification
 from rectrep.cli import (EXIT_CODES, EXIT_OK, ParseError, main, parse_algebra,
                          parse_rep, render_spec)
