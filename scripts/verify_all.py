@@ -9,10 +9,11 @@ the root-geometry censuses, and (with --sweep) the exhaustive detector
 comparison on the 7x7 grid, a differential of the greedy detector
 against the old quadratic one on seeded random 3-D and 4-D sets, a
 differential of the integer Freudenthal recursion and Weyl formula
-against their `Fraction` forms on every dominant weight of dimension
-<= 512 for the types of rank <= 4, and the A1-pair part search against
-its form without the second-moment cut at budgets 256 and 512. Exits
-nonzero if any check fails.
+against their `Fraction` forms, and of the weight count and orbit-union
+support against the Freudenthal character, on every dominant weight of
+dimension <= 512 for the types of rank <= 4, and the A1-pair part
+search against its form without the second-moment cut at budgets 256
+and 512. Exits nonzero if any check fails.
 """
 
 import argparse
@@ -43,12 +44,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-rank", type=int, default=3)
     ap.add_argument("--max-dim", type=int, default=128)
-    ap.add_argument("--howe-dim", type=int, default=128)
+    ap.add_argument("--howe-dim", type=int, default=512)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
                     help="also run the exhaustive 7x7-grid detector sweep, "
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
+                         "(with the weight count and support) "
                          "and the A1-pair moment-cut differential")
     args = ap.parse_args()
 
@@ -130,7 +132,8 @@ def main() -> int:
                         f"({time.monotonic() - t:.1f}s)")
 
         from rectrep import SemisimpleAlgebra, weyl_dimension
-        from rectrep.charcalc import _simple_character
+        from rectrep.charcalc import (_simple_character, weight_count,
+                                      weight_support)
         from oracles import (dominant_weights_up_to_dim_fraction,
                              simple_character_fraction,
                              weyl_dimension_fraction)
@@ -143,11 +146,16 @@ def main() -> int:
             alg = SemisimpleAlgebra((st,))
             for hw in dominant_weights_up_to_dim_fraction(st, 512):
                 n_weights += 1
-                if (_simple_character(st, hw) != simple_character_fraction(st, hw)
-                        or weyl_dimension(alg, hw)
-                        != weyl_dimension_fraction(st, hw)):
+                char = _simple_character(st, hw)
+                dim = weyl_dimension(alg, hw)
+                if (char != simple_character_fraction(st, hw)
+                        or dim != weyl_dimension_fraction(st, hw)
+                        or (weight_count(st, hw) == dim)
+                        != all(m == 1 for _, m in char)
+                        or weight_support(st, hw) != {w for w, _ in char}):
                     bad += 1
-        all_ok &= check("integer vs Fraction characters", bad == 0,
+        all_ok &= check("integer vs Fraction characters, weight count "
+                        "and support", bad == 0,
                         f"weights={n_weights} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 

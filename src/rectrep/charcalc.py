@@ -7,7 +7,9 @@ Gi = n.G of each simple type, built once by `_root_data`; the scale n
 cancels in every quotient they take.  Their former `Fraction` forms are
 the test oracles in tests/oracles.py.  Characters of product algebras are
 assembled factor by factor and tensored, never computed by a
-product-algebra recursion.
+product-algebra recursion.  The number and the set of distinct weights
+need no multiplicities: `weight_count` and `weight_support` read them
+off the dominant weights and their Weyl orbits.
 
 All character entries are keyed by fundamental-weight coordinate tuples;
 the algebra on the container fixes their meaning.  Named aliases (std,
@@ -92,6 +94,12 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
     because C^-1 is entrywise nonnegative.  Sorted by depth sum(c).
     C^-1 = diag(d)^-1.G = diag(n.d)^-1.Gi, so the bounds are floor
     divisions of Gi.hw.
+
+    The weight set of an irreducible is saturated: every such mu is a
+    weight, and every weight is a Weyl conjugate of one (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 21.3).  Both
+    `weight_count` and `weight_support` rest on this, and so does
+    Freudenthal's `mult <= 0` check: a listed mu must come out positive.
     """
     m = t.rank
     c = cartan_matrix(t)
@@ -114,6 +122,37 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
             stack.append((idx + 1, nxt))
     found.sort()
     return tuple(mu for _, mu in found)
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(t: SimpleType, pattern: IntVector) -> int:
+    """|W.mu| for every dominant mu whose nonzero coordinates are pattern's.
+
+    The stabiliser of a dominant mu is the parabolic subgroup generated
+    by the simple reflections s_i with mu_i = 0, so the orbit size
+    depends on the zero pattern alone, and the 0/1 weight `pattern` is
+    one such mu.  At most 2^rank entries per type.
+    """
+    return len(weyl_orbit_coords(_single_algebra(t), pattern))
+
+
+def weight_count(t: SimpleType, hw: IntVector) -> int:
+    """Number of distinct weights of the irreducible with highest weight hw.
+
+    The weights are the disjoint union of the Weyl orbits of the dominant
+    weights (saturation, see `_dominant_weights`), so this is a sum of
+    orbit sizes; no multiplicity is computed.
+    """
+    return sum(_orbit_size(t, tuple(int(x > 0) for x in mu))
+               for mu in _dominant_weights(t, hw))
+
+
+def weight_support(t: SimpleType, hw: IntVector) -> frozenset[IntVector]:
+    """Distinct weights of the irreducible with highest weight hw: the
+    union of the Weyl orbits of its dominant weights (no multiplicities)."""
+    alg = _single_algebra(t)
+    return frozenset().union(*(weyl_orbit_coords(alg, mu)
+                               for mu in _dominant_weights(t, hw)))
 
 
 @lru_cache(maxsize=None)

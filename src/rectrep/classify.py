@@ -36,9 +36,9 @@ from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
-from .charcalc import (RepSpec, character_of, irreducible_character,
-                       is_faithful, is_multiplicity_free,
-                       restrict_to_factors, weyl_dimension)
+from .charcalc import (RepSpec, character_of, is_faithful,
+                       restrict_to_factors, weight_count, weight_support,
+                       weyl_dimension)
 from .rectkit import (detect_rectangular, detect_rectangular_points,
                       from_character, lengths, transform,
                       with_ambient_padding)
@@ -340,20 +340,26 @@ def canonical_form(algebra: SemisimpleAlgebra, spec: RepSpec
 @lru_cache(maxsize=None)
 def multiplicity_free_irreps(t: SimpleType, max_dim: int
                              ) -> tuple[tuple[int, ...], ...]:
-    """Dominant weights (incl. zero) with multiplicity-free character."""
-    out = []
-    for coords in _dominant_weights_up_to_dim(t, max_dim):
-        alg = SemisimpleAlgebra((t,))
-        char = irreducible_character(alg, coords)
-        if is_multiplicity_free(char):
-            out.append(coords)
-    return tuple(sorted(out))
+    """Dominant weights (incl. zero) with multiplicity-free character.
+
+    No character is built.  V(lambda) has weyl_dimension(lambda) weights
+    counted with multiplicity and `weight_count` distinct ones, so it is
+    multiplicity free iff the two are equal.  The distinct weights are
+    the Weyl orbits of the dominant weights below lambda (the weight set
+    is saturated), and the orbit of a dominant mu has a size fixed by
+    which coordinates of mu are zero, since its stabiliser is the
+    parabolic subgroup those simple reflections generate; so the count
+    is a sum of cached orbit sizes, one per zero pattern.
+    """
+    return tuple(coords for coords, dim in _dominant_weights_up_to_dim(t, max_dim)
+                 if weight_count(t, coords) == dim)
 
 
 @lru_cache(maxsize=None)
 def _dominant_weights_up_to_dim(t: SimpleType, max_dim: int
-                                ) -> tuple[tuple[int, ...], ...]:
-    """All dominant weights with Weyl dimension <= max_dim.
+                                ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All dominant weights with Weyl dimension <= max_dim, as sorted
+    (coords, dimension) pairs.
 
     The Weyl dimension is strictly increasing in every coordinate, so a
     per-axis range scan with a final exact filter is exhaustive.
@@ -368,16 +374,17 @@ def _dominant_weights_up_to_dim(t: SimpleType, max_dim: int
         axis_max.append(k)
     out = []
     for coords in product(*(range(a + 1) for a in axis_max)):
-        if weyl_dimension(alg, coords) <= max_dim:
-            out.append(coords)
+        dim = weyl_dimension(alg, coords)
+        if dim <= max_dim:
+            out.append((coords, dim))
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def _irrep_data(t: SimpleType, coords: tuple[int, ...]):
-    alg = SemisimpleAlgebra((t,))
-    char = irreducible_character(alg, coords)
-    return char.support, char.mass
+    """(support, mass) of one irreducible, read off its dominant weights."""
+    return (weight_support(t, coords),
+            weyl_dimension(SemisimpleAlgebra((t,)), coords))
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from math import prod
 
 from .liealg import SemisimpleAlgebra, SimpleType, Weight
 from .charcalc import (AliasError, RepSpec, character_of, dual_weight,
-                       resolve_alias)
+                       is_multiplicity_free, resolve_alias)
 from .rectkit import (automorphism_order, detect_rectangular, from_character,
                       is_hypercubic, lengths, with_ambient_padding)
 from . import classify
@@ -300,7 +300,7 @@ def _cmd_char(args) -> _Outcome:
         "rep": render_spec(spec),
         "dimension": spec.dimension,
         "mass": char.mass,
-        "multiplicity_free": all(m == 1 for m in char.entries.values()),
+        "multiplicity_free": is_multiplicity_free(char),
         "weights": weights,
     }
     lines = [f"character of {result['rep']} over {algebra.label}",

@@ -9,9 +9,11 @@ the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
 library used before its integer-scaled ones, the A1-pair part search
 before its second-moment cut, and the enumerator's assembly over every
 A1 pairing and every ordering of equal parts before orderly assembly,
-and `decompose` as it was when the box detector, not the exact rebuild,
-decided rectangularity, are kept here as the references for
-differential tests.
+`decompose` as it was when the box detector, not the exact rebuild,
+decided rectangularity, and the multiplicity-free scan as it was when
+it built every Freudenthal character rather than counting weights from
+the dominant ones, are kept here as the references for differential
+tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
                      canonical_form, catalogue_spec, character_of, classify,
                      detect_rectangular, detect_rectangular_points,
                      from_character, is_faithful, irreducible_character,
-                     lengths, multiplicity_free_irreps, restrict_to_factors,
+                     is_multiplicity_free, lengths, restrict_to_factors,
                      weyl_dimension, with_ambient_padding)
 from rectrep.charcalc import RepSpec, _cartan_inverse, _gram
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
@@ -230,6 +232,18 @@ def symmetric_set_count(half: int = 3, max_points: int = 12) -> int:
     return total
 
 
+def multiplicity_free_irreps_freudenthal(t: SimpleType, max_dim: int):
+    """`classify.multiplicity_free_irreps` by building every character.
+
+    Same contract: the sorted dominant weights of dimension <= max_dim
+    whose Freudenthal character has every multiplicity 1.
+    """
+    alg = SemisimpleAlgebra((t,))
+    return tuple(coords
+                 for coords, _ in classify._dominant_weights_up_to_dim(t, max_dim)
+                 if is_multiplicity_free(irreducible_character(alg, coords)))
+
+
 def prune_free_rectangular(algebra: SemisimpleAlgebra, max_dim: int):
     """Rectangular specs by raw subset search, no structural shortcuts.
 
@@ -238,7 +252,8 @@ def prune_free_rectangular(algebra: SemisimpleAlgebra, max_dim: int):
     summed character must pass the detector.  This is the ground truth
     the pruned production enumerator is compared against at small bounds.
     """
-    pools = [multiplicity_free_irreps(t, max_dim) for t in algebra.factors]
+    pools = [multiplicity_free_irreps_freudenthal(t, max_dim)
+             for t in algebra.factors]
     summands = []
     for combo in product(*pools):
         coords = tuple(x for block in combo for x in block)

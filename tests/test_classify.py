@@ -10,19 +10,23 @@ from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
                      decompose, detect_rectangular, detect_rectangular_points,
-                     enumerate_rectangular, from_character, is_faithful,
+                     enumerate_rectangular, from_character,
+                     irreducible_character, is_faithful, is_multiplicity_free,
                      iter_catalogue_items, lengths, long_roots_3space_census,
                      multiplicity_free_irreps, roots_in_plane_census,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
-from rectrep.charcalc import RepSpec
-from rectrep.classify import _a1_pair_parts, _primitive_normal
+from rectrep.charcalc import RepSpec, _simple_character, weight_count
+from rectrep.classify import (_a1_pair_parts, _irrep_data, _primitive_normal,
+                              _single_factor_parts)
 from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
 from oracles import (a1_pair_parts_without_moment_cut,
                      decompose_detector_first, decompose_outcome,
+                     dominant_weights_up_to_dim_fraction,
                      enumerate_rectangular_all_orderings, grid_rect_oracle,
+                     multiplicity_free_irreps_freudenthal,
                      prune_free_rectangular, random_symmetric_sets,
                      symmetric_sets)
 
@@ -260,6 +264,33 @@ def test_multiplicity_free_irreps_small():
     assert a1 == ((0,), (1,), (2,), (3,))
     b2 = multiplicity_free_irreps(SimpleType.parse("B2"), 10)
     assert (1, 0) in b2 and (0, 1) in b2 and (1, 1) not in b2
+
+
+HOWE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
+
+
+@pytest.mark.parametrize("label", HOWE_TYPES + ("C4",))
+def test_weight_count_and_support_match_freudenthal(label):
+    # every dominant weight of dimension <= 128, against its full character
+    t = SimpleType.parse(label)
+    alg = SemisimpleAlgebra((t,))
+    flagged = multiplicity_free_irreps(t, 128)
+    for hw in dominant_weights_up_to_dim_fraction(t, 128):
+        char = irreducible_character(alg, hw)
+        assert weight_count(t, hw) == len(char.support)
+        assert (hw in flagged) == is_multiplicity_free(char)
+        assert _irrep_data(t, hw) == (char.support, char.mass)
+    assert flagged == multiplicity_free_irreps_freudenthal(t, 128)
+
+
+def test_multiplicity_free_scan_and_single_factor_search_build_no_character():
+    # a Freudenthal run anywhere below these calls is a cache miss
+    for cached in (_simple_character, multiplicity_free_irreps, _irrep_data):
+        cached.cache_clear()
+    multiplicity_free_irreps.__wrapped__(SimpleType.parse("A2"), 256)
+    assert _single_factor_parts.__wrapped__(SimpleType.parse("B3"), 64)
+    assert verify_howe(SimpleType.parse("G2"), 256)["ok"]
+    assert _simple_character.cache_info().misses == 0
 
 
 def test_enumerate_bounds_are_enforced():
