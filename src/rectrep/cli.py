@@ -27,6 +27,7 @@ while D3 (entered as A3) rejects it with a hint.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from math import prod
@@ -541,6 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    This is the process entry point (the `rectrep` script and `python -m
+    rectrep`).  Its first call freezes the heap it finds, so everything
+    import built is never collected again; the command's own objects
+    still are.
+    """
+    # at exit CPython would free the import-time heap object by object in
+    # a full collection, which costs more than a small command; the
+    # operating system reclaims it at once.  Freezing again on a later
+    # in-process call would make the garbage of earlier calls permanent.
+    if not gc.get_freeze_count():
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     # until parsing succeeds, --pretty (or a prefix argparse takes for it;
     # no other option starts with --p) is known only from the raw words

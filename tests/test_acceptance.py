@@ -305,20 +305,64 @@ def test_cli_golden_suite_bytes_and_exit_codes(capsys):
                 assert payload["ok"] == (expected == 0)
 
 
-def test_cli_installed_entry_point_runs():
-    # the child imports the same rectrep as this suite, installed or not
+def _child_env() -> dict:
+    # a child imports the same rectrep as this suite, installed or not
     src = str(Path(rectrep.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_installed_entry_point_runs():
     with timed(30.0):
         proc = subprocess.run(
             [sys.executable, "-m", "rectrep", "char", "--algebra", "A1",
              "--rep", "std"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True
         assert payload["result"]["dimension"] == "2"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["char", "--algebra", "B2", "--rep", "spin"], 0),
+    (["rect", "--algebra", "A1", "--rep", "std+std"], 3),
+    (["enumerate", "--max-rank", "99"], 2),
+], ids=["success", "rejection", "usage"])
+def test_cli_process_output_equals_in_process_output(capsys, argv, code):
+    # main freezes the heap it finds, so nothing import built is finalised
+    # at exit; a fresh process must still flush every byte main wrote
+    for extra in ([], ["--pretty"]):
+        assert cli_main(argv + extra) == code
+        captured = capsys.readouterr()
+        with timed(30.0):
+            proc = subprocess.run([sys.executable, "-m", "rectrep", *argv, *extra],
+                                  capture_output=True, env=_child_env())
+        assert proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+        assert bool(proc.stderr) == bool(extra)
+
+
+def test_cli_main_freezes_the_import_time_heap():
+    # the first call freezes what import built; a second in-process call
+    # freezes nothing more, so the garbage of the first is still collected
+    code = ("import contextlib, gc, io\n"
+            "from rectrep.cli import main\n"
+            "before = len(gc.get_objects())\n"
+            "frozen = []\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(['char', '--algebra', 'A1', '--rep', 'std'])\n"
+            "    frozen.append(gc.get_freeze_count())\n"
+            "print(before, *frozen)\n")
+    with timed(30.0):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    before, first, second = map(int, proc.stdout.split())
+    assert first >= before // 2
+    assert second == first
 
 
 def test_catalogue_table_script_runs_without_an_install(tmp_path):
