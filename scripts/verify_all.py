@@ -9,11 +9,17 @@ the root-geometry censuses, and (with --sweep) the exhaustive detector
 comparison on the 7x7 grid, a differential of the greedy detector
 against the old quadratic one on seeded random 3-D and 4-D sets, a
 differential of the integer Freudenthal recursion and Weyl formula
-against their `Fraction` forms, and of the weight count and orbit-union
-support against the Freudenthal character, on every dominant weight of
-dimension <= 512 for the types of rank <= 4, and the A1-pair part
-search against its form without the second-moment cut at budgets 256
-and 512. Exits nonzero if any check fails.
+against their `Fraction` forms, of the weight count and orbit-union
+support against the Freudenthal character, and of the root-descent and
+axis scans of dominant weights against whole-box scans, on every
+dominant weight of dimension <= 512 for the types of rank <= 4, the
+A1-pair part search against its form without the second-moment cut at
+budgets 256 and 512, the closed-form A1 parts against the detector at
+budget 1024, the refined `canonical_form` against the minimum over
+every permutation on each spec at (4, 256), enumerated and from the
+closure, with its factors shuffled, and the enumerator against the
+prune-free subset search on each simple type of rank <= 4 at dimension
+256. Exits nonzero if any check fails.
 """
 
 import argparse
@@ -50,8 +56,11 @@ def main() -> int:
                     help="also run the exhaustive 7x7-grid detector sweep, "
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
-                         "(with the weight count and support) "
-                         "and the A1-pair moment-cut differential")
+                         "(with the weight count, support and dominant "
+                         "weight scans), the A1-pair moment-cut "
+                         "differential, the A1 closed-form check, the "
+                         "canonical-form differential and the per-type "
+                         "prune-free comparison")
     args = ap.parse_args()
 
     all_ok = True
@@ -132,9 +141,12 @@ def main() -> int:
                         f"({time.monotonic() - t:.1f}s)")
 
         from rectrep import SemisimpleAlgebra, weyl_dimension
-        from rectrep.charcalc import (_simple_character, weight_count,
-                                      weight_support)
-        from oracles import (dominant_weights_up_to_dim_fraction,
+        from rectrep.charcalc import (_dominant_weights, _simple_character,
+                                      weight_count, weight_support)
+        from rectrep.classify import _dominant_weights_up_to_dim
+        from oracles import (dominant_weights_box,
+                             dominant_weights_up_to_dim_box,
+                             dominant_weights_up_to_dim_fraction,
                              simple_character_fraction,
                              weyl_dimension_fraction)
 
@@ -144,6 +156,8 @@ def main() -> int:
         for label in CHAR_TYPES:
             st = SimpleType.parse(label)
             alg = SemisimpleAlgebra((st,))
+            bad += (_dominant_weights_up_to_dim(st, 512)
+                    != dominant_weights_up_to_dim_box(st, 512))
             for hw in dominant_weights_up_to_dim_fraction(st, 512):
                 n_weights += 1
                 char = _simple_character(st, hw)
@@ -152,10 +166,12 @@ def main() -> int:
                         or dim != weyl_dimension_fraction(st, hw)
                         or (weight_count(st, hw) == dim)
                         != all(m == 1 for _, m in char)
-                        or weight_support(st, hw) != {w for w, _ in char}):
+                        or weight_support(st, hw) != {w for w, _ in char}
+                        or _dominant_weights(st, hw)
+                        != dominant_weights_box(st, hw)):
                     bad += 1
-        all_ok &= check("integer vs Fraction characters, weight count "
-                        "and support", bad == 0,
+        all_ok &= check("integer vs Fraction characters, weight count, "
+                        "support and dominant weight scans", bad == 0,
                         f"weights={n_weights} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 
@@ -169,6 +185,51 @@ def main() -> int:
                 f"A1-pair parts vs search without moment cut, budget {budget}",
                 parts == a1_pair_parts_without_moment_cut(budget),
                 f"parts={len(parts)} ({time.monotonic() - t:.1f}s)")
+
+        from rectrep import (canonical_form, catalogue_closure,
+                             with_ambient_padding)
+        from rectrep.classify import (_shuffle_factors, _simple_types_up_to,
+                                      _single_factor_parts)
+        from oracles import canonical_form_bruteforce, prune_free_rectangular
+
+        t = time.monotonic()
+        parts = _single_factor_parts(SimpleType.parse("A1"), 1024)
+        bad = 0
+        for summands, dim, ls in parts:
+            support = {(k,) for (r,) in summands for k in range(-r, r + 1, 2)}
+            cert = detect_rectangular_points(support, 1)
+            if (len(support) != dim or cert is None
+                    or lengths(with_ambient_padding(cert, 1)) != ls):
+                bad += 1
+        all_ok &= check("A1 closed-form parts vs detector, budget 1024",
+                        bad == 0, f"parts={len(parts)} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
+        t = time.monotonic()
+        specs = [(a, s) for a, s, _ in found] + catalogue_closure(4, 256)
+        bad = 0
+        for i, (alg, spec) in enumerate(specs):
+            shuffled = _shuffle_factors(alg, spec, args.seed + i)
+            bad += not (canonical_form(*shuffled) == (alg, spec)
+                        == canonical_form_bruteforce(*shuffled))
+        all_ok &= check("refined vs brute-force canonical form rank<=4 "
+                        "dim<=256", bad == 0,
+                        f"specs={len(specs)} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
+        t = time.monotonic()
+        types = _simple_types_up_to(4)
+        bad = []
+        for st in types:
+            alg = SemisimpleAlgebra((st,))
+            got = {(a, s) for a, s, _ in enumerate_rectangular(
+                st.rank, 256, algebras=[alg])}
+            if got != prune_free_rectangular(alg, 256):
+                bad.append(st.label)
+        all_ok &= check("enumeration vs prune-free search per simple type "
+                        "dim<=256", not bad,
+                        f"types={len(types)} disagreeing={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
 
     print(f"total {time.monotonic() - t0:.1f}s")
     return 0 if all_ok else 1

@@ -90,10 +90,13 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
     """Dominant weights of the irreducible with highest weight hw.
 
     These are exactly the dominant mu with hw - mu a nonnegative integer
-    combination c of simple roots; c is bounded entrywise by C^-1.hw
-    because C^-1 is entrywise nonnegative.  Sorted by depth sum(c).
-    C^-1 = diag(d)^-1.G = diag(n.d)^-1.Gi, so the bounds are floor
-    divisions of Gi.hw.
+    combination c of simple roots, sorted by depth sum(c), then by mu.
+    They are found by walking down from hw by positive roots and keeping
+    the dominant weights: in the dominance order on dominant weights a
+    weight covers another only when they differ by a positive root
+    (Stembridge, The partial order of dominant weights, Adv. Math. 136,
+    1998), so every one is reached.  A root's depth is its height, the
+    sum of its simple-root coordinates C^-1.alpha = Gi.alpha / (n.d).
 
     The weight set of an irreducible is saturated: every such mu is a
     weight, and every weight is a Weyl conjugate of one (Humphreys,
@@ -101,27 +104,20 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
     `weight_count` and `weight_support` rest on this, and so does
     Freudenthal's `mult <= 0` check: a listed mu must come out positive.
     """
-    m = t.rank
-    c = cartan_matrix(t)
-    n, gi, _ = _root_data(t)
+    n, _, roots = _root_data(t)
     d = symmetrizer(t)
-    bounds = [x // (n * di) for x, di in zip(mat_vec(gi, hw), d)]
-    found = []
-    stack = [(0, [0] * m)]
+    steps = [(alpha, sum(x // (n * di) for x, di in zip(galpha, d)))
+             for alpha, galpha, _ in roots]
+    depth = {hw: 0}
+    stack = [hw]
     while stack:
-        idx, cur = stack.pop()
-        if idx == m:
-            mu = tuple(hw[i] - sum(c[i][j] * cur[j] for j in range(m))
-                       for i in range(m))
-            if all(x >= 0 for x in mu):
-                found.append((sum(cur), mu))
-            continue
-        for val in range(bounds[idx] + 1):
-            nxt = cur.copy()
-            nxt[idx] = val
-            stack.append((idx + 1, nxt))
-    found.sort()
-    return tuple(mu for _, mu in found)
+        mu = stack.pop()
+        for alpha, height in steps:
+            nu = tuple(a - b for a, b in zip(mu, alpha))
+            if nu not in depth and all(x >= 0 for x in nu):
+                depth[nu] = depth[mu] + height
+                stack.append(nu)
+    return tuple(sorted(depth, key=lambda mu: (depth[mu], mu)))
 
 
 @lru_cache(maxsize=None)

@@ -16,11 +16,16 @@ pairing of the A1 factors per pair count and non-decreasing candidates
 over equal parts, so each orbit under permutation of equal factors is
 built and canonicalised once, and a spec reached twice is an
 AssertionError rather than a merge.  Within one part the search is
-exhaustive (disjoint-support sums of multiplicity-free irreducibles,
-confirmed by the box detector); the restriction of parts to singletons
-and A1 pairs, and the square-mass and second-moment cuts in the A1-pair
-search, are structural facts recorded in the docs and independently
-defended by a prune-free oracle in the test suite at small bounds.
+exhaustive.  A1's parts are in closed form (symmetric powers and
+adjacent pairs; the tests confirm them with the box detector).  Over
+the other types the disjoint-support sums of multiplicity-free
+irreducibles whose highest weights are closed under duality go to the
+detector, and the A1-pair walk sends its leaves there, walking only
+choices that are canonical under swapping the two factors.  The
+restriction of parts to singletons and A1 pairs, and the square-mass
+and second-moment cuts in the A1-pair search, are structural facts
+recorded in the docs and independently defended by a prune-free oracle
+in the test suite at small bounds.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from math import gcd, isqrt, prod
 
 from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
-from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
+from .liealg import (SemisimpleAlgebra, SimpleType, Weight, ortho_coords,
                      positive_root_coords)
-from .charcalc import (RepSpec, character_of, is_faithful,
+from .charcalc import (RepSpec, character_of, dual_weight, is_faithful,
                        restrict_to_factors, weight_count, weight_support,
                        weyl_dimension)
 from .rectkit import (detect_rectangular, detect_rectangular_points,
@@ -296,44 +301,75 @@ def decompose(spec: RepSpec) -> Decomposition:
     return Decomposition(tuple(parts))
 
 
-def _type_groups(factors: tuple[SimpleType, ...]) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for i, t in enumerate(factors):
-        if groups and factors[groups[-1][0]] == t:
-            groups[-1].append(i)
+@lru_cache(maxsize=None)
+def _factor_groups(algebra: SemisimpleAlgebra):
+    """(sorted algebra, groups): the factors sorted by type, and for each
+    run of equal types in that order the coordinate indices of its
+    factors in the input algebra."""
+    order = sorted(range(len(algebra.factors)),
+                   key=lambda i: (algebra.factors[i], i))
+    ranges = algebra.block_ranges()
+    groups: list[list[tuple[int, ...]]] = []
+    for j, i in enumerate(order):
+        if j and algebra.factors[order[j - 1]] == algebra.factors[i]:
+            groups[-1].append(tuple(ranges[i]))
         else:
-            groups.append([i])
-    return groups
+            groups.append([tuple(ranges[i])])
+    return SemisimpleAlgebra(tuple(algebra.factors[i] for i in order)), groups
 
 
-def _permutations_within_groups(groups):
-    pools = [list(permutations(g)) for g in groups]
-    for combo in product(*pools):
-        perm = []
-        for g in combo:
-            perm.extend(g)
-        yield tuple(perm)
+def _canonical_summands(algebra: SemisimpleAlgebra, summands):
+    """The canonical (algebra, ((coords, mult), ...)) of a sum of irreducibles.
+
+    summands are (coords, mult) pairs over algebra with distinct coords.
+    The factor list is sorted, and among all block permutations that
+    preserve it the one giving the least sorted (coords, mult) tuple is
+    chosen.  Only the permutations that sort the blocks of some summand
+    reaching the least first entry are tried: a permutation's first
+    entry is its least permuted summand, the least one any permutation
+    can give is a summand with its blocks sorted within each run of
+    equal factors, and a permutation reaches it only by sorting such a
+    summand, so the least tuple is among those tried.
+    """
+    sorted_alg, groups = _factor_groups(algebra)
+    summands = list(summands)
+
+    def ties(c):
+        """c's factors (as coordinate indices) in sorted block order,
+        grouped into runs of equal factors with equal blocks."""
+        runs = []
+        for g in groups:
+            last = None
+            for block, ix in sorted((tuple(c[i] for i in ix), ix) for ix in g):
+                if block == last:
+                    runs[-1].append(ix)
+                else:
+                    runs.append([ix])
+                last = block
+        return runs
+
+    heads = []
+    for c, m in summands:
+        runs = ties(c)
+        heads.append(((tuple(c[i] for run in runs for ix in run for i in ix),
+                       m), runs))
+    first = min(h for h, _ in heads)
+    # each permutation as the input coordinate indices in their new order
+    perms = {tuple(i for run in choice for ix in run for i in ix)
+             for h, runs in heads if h == first
+             for choice in product(*map(permutations, runs))}
+    best = min(tuple(sorted((tuple(map(c.__getitem__, perm)), m)
+                            for c, m in summands))
+               for perm in perms)
+    return sorted_alg, best
 
 
 def canonical_form(algebra: SemisimpleAlgebra, spec: RepSpec
                    ) -> tuple[SemisimpleAlgebra, RepSpec]:
-    """Canonical representative under permutation of equal factors.
-
-    The factor list is sorted, and among all block permutations that
-    preserve it the one giving the least (coords, mult) summand tuple
-    is chosen.
-    """
-    order = sorted(range(len(algebra.factors)),
-                   key=lambda i: (algebra.factors[i], i))
-    sorted_alg = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
-    ranges = algebra.block_ranges()
-    # each summand's factor blocks, sliced once, listed in sorted order
-    blocks = [([hw.coords[ranges[i].start:ranges[i].stop] for i in order], m)
-              for hw, m in spec.summands]
-    best = min(tuple(sorted((sum((b[p] for p in perm), ()), m)
-                            for b, m in blocks))
-               for perm in _permutations_within_groups(
-                   _type_groups(sorted_alg.factors)))
+    """Canonical representative under permutation of equal factors, as
+    `_canonical_summands` finds it."""
+    sorted_alg, best = _canonical_summands(
+        algebra, ((hw.coords, m) for hw, m in spec.summands))
     return sorted_alg, RepSpec.make(sorted_alg, best)
 
 
@@ -361,23 +397,25 @@ def _dominant_weights_up_to_dim(t: SimpleType, max_dim: int
     """All dominant weights with Weyl dimension <= max_dim, as sorted
     (coords, dimension) pairs.
 
-    The Weyl dimension is strictly increasing in every coordinate, so a
-    per-axis range scan with a final exact filter is exhaustive.
+    The Weyl dimension is strictly increasing in every coordinate, so the
+    scan grows the coordinates axis by axis and stops an axis at the
+    first weight over the bound, the later coordinates held at zero.
     """
     alg = SemisimpleAlgebra((t,))
-    m = t.rank
-    axis_max = []
-    for i in range(m):
-        k = 0
-        while weyl_dimension(alg, tuple((k + 1) * int(j == i) for j in range(m))) <= max_dim:
-            k += 1
-        axis_max.append(k)
     out = []
-    for coords in product(*(range(a + 1) for a in axis_max)):
-        dim = weyl_dimension(alg, coords)
-        if dim <= max_dim:
-            out.append((coords, dim))
-    return tuple(sorted(out))
+
+    def grow(prefix):
+        pad = (0,) * (t.rank - len(prefix) - 1)
+        k = 0
+        while (dim := weyl_dimension(alg, prefix + (k,) + pad)) <= max_dim:
+            if pad:
+                grow(prefix + (k,))
+            else:
+                out.append((prefix + (k,), dim))
+            k += 1
+
+    grow(())
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -394,59 +432,100 @@ def _single_factor_parts(t: SimpleType, budget: int):
     A part is a disjoint-support sum of multiplicity-free irreducibles
     (possibly including the trivial one) that acts faithfully and whose
     character passes the box detector.  Returns (summands, dim, lengths)
-    tuples sorted by dimension; `lengths` are the detected box lengths
-    padded to the rank of t.
+    tuples sorted by dimension; `lengths` are the box lengths padded to
+    the rank of t.
 
-    For A1 the only rectangular sums are single symmetric powers and
-    pairs of adjacent ones: a symmetric union of two parity-separated
-    progressions is an arithmetic progression only when the degrees are
-    adjacent.  The detector still confirms every candidate.
+    For A1 the parts are in closed form, with no detector call: a single
+    symmetric power Sym^r, whose support is the step-2 progression from
+    -r to r (a box of length r + 1), or a pair of adjacent ones, whose
+    supports, of opposite parities, fill every integer from -(r1 + 1) to
+    r1 + 1 (length r1 + r2 + 2).  No other sum is rectangular: a
+    symmetric union of two parity-separated progressions is an
+    arithmetic progression only when the degrees are adjacent.  The
+    tests confirm every A1 part with the detector.
+
+    Over other types the search walks the disjoint-support sums and asks
+    the detector only when the chosen highest weights are closed under
+    `dual_weight`.  The character of a disjoint sum is the indicator of
+    its support U, and the detector accepts only U = -U; since
+    supp V(lambda*) = -supp V(lambda), U is symmetric if the chosen set
+    is closed.  Conversely, if U = -U, a weight of U maximal in the
+    dominance order is the highest weight lambda of the summand holding
+    it; as -U is the disjoint union of the duals' supports, it is also
+    the highest weight of a dual, so lambda* is chosen.  Peel off the
+    supports of lambda and lambda* and induct.
     """
-    out = []
     if t.label == "A1":
-        cands = [((r,),) for r in range(1, budget)]
-        r2 = 0
-        while 2 * r2 + 3 <= budget:
-            cands.append(((r2 + 1,), (r2,)))
-            r2 += 1
-        for summands in cands:
-            support = set()
-            for (r,) in summands:
-                support.update((k,) for k in range(-r, r + 1, 2))
-            cert = detect_rectangular_points(support, 1)
-            if cert is None:
-                raise AssertionError("A1 shortcut emitted a non-rectangular part")
-            dim = sum(r + 1 for (r,) in summands)
-            out.append((tuple(sorted(summands)), dim,
-                        lengths(with_ambient_padding(cert, 1))))
+        out = [(((r,),), r + 1, (r + 1,)) for r in range(1, budget)]
+        out += [(((r2,), (r2 + 1,)), 2 * r2 + 3, (2 * r2 + 3,))
+                for r2 in range((budget - 1) // 2)]
         out.sort(key=lambda x: (x[1], x[0]))
         return tuple(out)
+    alg = SemisimpleAlgebra((t,))
     irreps = []
     for coords in multiplicity_free_irreps(t, budget):
         support, mass = _irrep_data(t, coords)
-        irreps.append((mass, coords, support))
+        dual = dual_weight(Weight(alg, coords)).coords
+        irreps.append((mass, coords, support, dual))
     irreps.sort()
     n = len(irreps)
+    zero = (0,) * t.rank
+    out = []
 
-    def extend(start, chosen, support, dim):
+    def extend(start, chosen, support, dim, unpaired):
+        # unpaired: the chosen weights whose dual is not chosen
         for idx in range(start, n):
-            mass, coords, supp = irreps[idx]
+            mass, coords, supp, dual = irreps[idx]
             if dim + mass > budget:
                 break
             if support & supp:
                 continue
             sub = chosen + [coords]
             merged = support | supp
-            if any(c != (0,) * t.rank for c in sub):
+            if dual == coords:
+                left = unpaired
+            elif dual in chosen:
+                left = unpaired - 1
+            else:
+                left = unpaired + 1
+            if not left and any(c != zero for c in sub):
                 cert = detect_rectangular_points(merged, t.rank)
                 if cert is not None:
                     out.append((tuple(sorted(sub)), dim + mass,
                                 lengths(with_ambient_padding(cert, t.rank))))
-            extend(idx + 1, sub, merged, dim + mass)
+            extend(idx + 1, sub, merged, dim + mass, left)
 
-    extend(0, [], frozenset(), 0)
+    extend(0, [], frozenset(), 0, 0)
     out.sort(key=lambda x: (x[1], x[0]))
     return tuple(out)
+
+
+_CANON, _TIED = "canonical", "tied"
+
+
+def _transpose_step(state, r1, r2):
+    """Compare an A1-pair choice P with its transpose P^T as (r1, r2)
+    joins P, the summands taken by class (0, 0), (0, 1), (1, 0), (1, 1).
+
+    Returns _CANON once P < P^T, _TIED while the two agree so far, the
+    summand of class (0, 1) while it waits for the one of class (1, 0)
+    (its counterpart in P^T), or None once P > P^T.  The order is the
+    one `_a1_pair_parts` states: (a, b, c, d) against (a^T, c^T, b^T,
+    d^T), a missing summand the largest.
+    """
+    if state == _CANON:
+        return _CANON
+    p = (r1 & 1, r2 & 1)
+    if p == (0, 1):
+        return (r1, r2)
+    if p == (1, 0):
+        if state == _TIED:
+            return None
+        flip = (r2, r1)
+        return _CANON if state < flip else _TIED if state == flip else None
+    if state != _TIED:
+        return _CANON
+    return _CANON if r1 < r2 else _TIED if r1 == r2 else None
 
 
 @lru_cache(maxsize=None)
@@ -483,6 +562,13 @@ def _a1_pair_parts(budget: int):
       single-factor parts; the finer partition enumerates them.  This
       also drops every unfaithful choice: if all r1 are 0, the part is
       {(0, a), (0, b)} with a, b of different parity, a grid.
+    - Transposition.  Swapping the axes maps (r1, r2) to (r2, r1), fixes
+      classes (0, 0) and (1, 1), swaps (0, 1) with (1, 0), and maps each
+      part to a part with the same lengths.  So the walk takes only
+      transpose-canonical choices (`_transpose_step`): with P's summands
+      listed by class (a, b, c, d), a missing one counted as the
+      largest, P is canonical when (a, b, c, d) <= (a^T, c^T, b^T, d^T).
+      Each accepted part is emitted with its transpose.
 
     Returns (summands, dim, lengths) tuples like `_single_factor_parts`.
     """
@@ -512,7 +598,7 @@ def _a1_pair_parts(budget: int):
                         closers[c][sq - item[0]].append((sq, modulus, item))
     out = []
 
-    def leaf(chosen, mass):
+    def leaf(chosen, mass, state):
         p1s = {r1 % 2 for r1, _ in chosen}
         p2s = {r2 % 2 for _, r2 in chosen}
         if len(chosen) == len(p1s) * len(p2s):
@@ -526,10 +612,13 @@ def _a1_pair_parts(budget: int):
                    for b in range(-r2, r2 + 1, 2)}
         cert = detect_rectangular_points(support, 2)
         if cert is not None:
-            out.append((tuple(sorted(chosen)), mass,
-                        lengths(with_ambient_padding(cert, 2))))
+            ls = lengths(with_ambient_padding(cert, 2))
+            out.append((tuple(sorted(chosen)), mass, ls))
+            if state != _TIED:
+                out.append((tuple(sorted((r2, r1) for r1, r2 in chosen)),
+                            mass, ls))
 
-    def walk(start, chosen, dim, col, row, m1, m2):
+    def walk(start, chosen, dim, col, row, m1, m2, state):
         # the last class can only close a part, so the walk stops before it
         for c in range(start, 3):
             for d, r1, r2, t1, t2 in classes[c]:
@@ -537,18 +626,23 @@ def _a1_pair_parts(budget: int):
                     break
                 if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
                     continue
+                nstate = _transpose_step(state, r1, r2)
+                if nstate is None:
+                    continue
                 node = chosen + [(r1, r2)]
                 ndim, nm1, nm2 = dim + d, m1 + t1, m2 + t2
                 for sq, modulus, (_, s1, s2, u1, u2) in closers[c][ndim]:
                     if not ((nm1 + u1) % modulus or (nm2 + u2) % modulus):
-                        leaf(node + [(s1, s2)], sq)
+                        lstate = _transpose_step(nstate, s1, s2)
+                        if lstate is not None:
+                            leaf(node + [(s1, s2)], sq, lstate)
                 ncol = list(col)
                 nrow = list(row)
                 ncol[r1 & 1] += r2 + 1
                 nrow[r2 & 1] += r1 + 1
-                walk(c + 1, node, ndim, ncol, nrow, nm1, nm2)
+                walk(c + 1, node, ndim, ncol, nrow, nm1, nm2, nstate)
 
-    walk(0, [], 0, [0, 0], [0, 0], 0, 0)
+    walk(0, [], 0, [0, 0], [0, 0], 0, 0, _TIED)
     out.sort(key=lambda x: (x[1], x[0]))
     return tuple(out)
 
@@ -657,20 +751,23 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                    for part in parts]
             floor = [max((j for j in range(i) if cls[j] == cls[i]),
                          default=None) for i in range(len(parts))]
+            # the factors in part order; the canonical form does not
+            # depend on the order of the factors, so the tensor product
+            # of the parts' summands is not reordered
+            layout = SemisimpleAlgebra(tuple(algebra.factors[i]
+                                             for part in parts for i in part))
 
             def assemble(pi, chosen, dim):
                 if pi == len(parts):
                     picked = [part_cands[j][c] for j, c in enumerate(chosen)]
-                    coords = _tensor_coords(algebra, [
-                        (part, dict.fromkeys(cand[0], 1))
-                        for part, cand in zip(parts, picked)])
-                    spec = RepSpec.make(algebra, coords.items())
-                    key = canonical_form(algebra, spec)
+                    key = _canonical_summands(layout, [
+                        (sum(combo, ()), 1)
+                        for combo in product(*(cand[0] for cand in picked))])
                     if key in results:
                         raise AssertionError(
-                            f"{_spec_label(*key)} assembled twice")
-                    ls = tuple(sorted(ln for cand in picked for ln in cand[2]))
-                    results[key] = (*key, ls)
+                            f"{_spec_label(key[0], RepSpec.make(*key))} assembled twice")
+                    results[key] = (tuple(sorted(ln for cand in picked
+                                                 for ln in cand[2])),)
                     return
                 cands = part_cands[pi]
                 start = 0 if floor[pi] is None else chosen[floor[pi]]
@@ -680,13 +777,16 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                     assemble(pi + 1, chosen + [c], dim * cands[c][1])
 
             assemble(0, [], 1)
-    return sorted(results.values(), key=_result_key)
+    return _sorted_specs(results)
 
 
-def _result_key(entry):
-    algebra, spec = entry[0], entry[1]
-    return (algebra.rank, algebra.label,
-            tuple((hw.coords, m) for hw, m in spec.summands))
+def _sorted_specs(results: dict) -> list:
+    """(algebra, RepSpec, *extra) for each canonical key (algebra,
+    ((coords, mult), ...)) of results, whose value is the tuple extra,
+    sorted by rank, algebra label and summands."""
+    return [(alg, RepSpec.make(alg, best), *results[alg, best])
+            for alg, best in sorted(results, key=lambda k: (
+                k[0].rank, k[0].label, k[1]))]
 
 
 def catalogue_closure(max_rank: int, max_dim: int, items=None
@@ -706,9 +806,8 @@ def catalogue_closure(max_rank: int, max_dim: int, items=None
                           {hw.coords: m for hw, m in spec.summands}))
             factors += alg.factors
         algebra = SemisimpleAlgebra(factors)
-        spec = RepSpec.make(algebra, _tensor_coords(algebra, parts).items())
-        alg_c, spec_c = canonical_form(algebra, spec)
-        results[(alg_c, spec_c)] = (alg_c, spec_c)
+        results[_canonical_summands(
+            algebra, _tensor_coords(algebra, parts).items())] = ()
 
     def extend(start, chosen, rank, dim):
         if chosen:
@@ -723,7 +822,7 @@ def catalogue_closure(max_rank: int, max_dim: int, items=None
                 extend(i, chosen + [it], rank + r, dim * d)
 
     extend(0, [], 0, 1)
-    return sorted(results.values(), key=_result_key)
+    return _sorted_specs(results)
 
 
 def _spec_label(algebra: SemisimpleAlgebra, spec: RepSpec) -> str:
@@ -734,6 +833,18 @@ def _spec_label(algebra: SemisimpleAlgebra, spec: RepSpec) -> str:
     return f"{algebra.label}: " + " + ".join(parts)
 
 
+def _shuffle_factors(algebra: SemisimpleAlgebra, spec: RepSpec, seed: int
+                     ) -> tuple[SemisimpleAlgebra, RepSpec]:
+    """The same representation with its factors in a seeded random order."""
+    order = random.Random(seed).sample(range(len(algebra.factors)),
+                                       len(algebra.factors))
+    ranges = algebra.block_ranges()
+    shuffled = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
+    return shuffled, RepSpec.make(shuffled, [
+        (tuple(x for i in order for x in hw.coords[ranges[i].start:ranges[i].stop]),
+         m) for hw, m in spec.summands])
+
+
 def verify_classification(max_rank: int, max_dim: int, items=None,
                           seed: int = 0) -> dict:
     """Compare brute-force enumeration against the catalogue closure.
@@ -742,7 +853,10 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     sets; every enumerated spec must decompose and reassemble, with the
     catalogue items' lengths equal to the enumerated ones; structural
     corollaries (power-of-two summand counts, even-length specs being
-    irreducible A1 tensors) must hold.  `items` substitutes a tampered
+    irreducible A1 tensors) must hold.  Up to 20 sampled specs are spot
+    checked: the detector must give the enumerated lengths on a random
+    unimodular image, and `canonical_form` must bring back the spec from
+    its factors in a random order.  `items` substitutes a tampered
     catalogue for negative-control testing.
     """
     enumerated = enumerate_rectangular(max_rank, max_dim)
@@ -784,10 +898,14 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     sample = rng_specs if len(rng_specs) <= 20 else rng.sample(rng_specs, 20)
     for algebra, spec, ls in sample:
         s = from_character(character_of(spec))
-        mat = random_unimodular(algebra.rank, rng.randrange(2**30))
+        mat_seed = rng.randrange(2**30)
+        mat = random_unimodular(algebra.rank, mat_seed)
         cert2 = detect_rectangular(transform(s, mat))
         spot_checks += 1
-        if cert2 is None or lengths(with_ambient_padding(cert2, algebra.rank)) != ls:
+        if (cert2 is None
+                or lengths(with_ambient_padding(cert2, algebra.rank)) != ls
+                or canonical_form(*_shuffle_factors(algebra, spec, mat_seed))
+                != (algebra, spec)):
             spot_failures.append(_spec_label(algebra, spec))
     ok = not (missing or unexpected or roundtrip_failures
               or corollary_violations or spot_failures)

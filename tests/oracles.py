@@ -10,32 +10,34 @@ library used before its integer-scaled ones, the A1-pair part search
 before its second-moment cut, and the enumerator's assembly over every
 A1 pairing and every ordering of equal parts before orderly assembly,
 `decompose` as it was when the box detector, not the exact rebuild,
-decided rectangularity, and the multiplicity-free scan as it was when
+decided rectangularity, the multiplicity-free scan as it was when
 it built every Freudenthal character rather than counting weights from
-the dominant ones, are kept here as the references for differential
-tests.
+the dominant ones, `canonical_form` as a minimum over every permutation
+of equal factors, and the dominant-weight scans over whole boxes before
+the root descent and the axis scan, are kept here as the references for
+differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import isqrt, prod
 from random import Random
 
 from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
                      NotRectangularError, RectCertificate, SemisimpleAlgebra,
-                     canonical_form, catalogue_spec, character_of, classify,
+                     catalogue_spec, character_of, classify,
                      detect_rectangular, detect_rectangular_points,
                      from_character, is_faithful, irreducible_character,
                      is_multiplicity_free, lengths, restrict_to_factors,
                      weyl_dimension, with_ambient_padding)
-from rectrep.charcalc import RepSpec, _cartan_inverse, _gram
+from rectrep.charcalc import RepSpec, _cartan_inverse, _gram, _root_data
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
                               vec_sub)
 from rectrep.liealg import (SimpleType, cartan_matrix,
                             dominant_conjugate_coords, positive_root_coords,
-                            weyl_orbit_coords)
+                            symmetrizer, weyl_orbit_coords)
 
 
 def detect_rectangular_points_quadratic(points, dim: int):
@@ -273,7 +275,7 @@ def prune_free_rectangular(algebra: SemisimpleAlgebra, max_dim: int):
             support.update(supp)
         cert = detect_rectangular_points(support, algebra.rank)
         if cert is not None:
-            alg_c, spec_c = canonical_form(algebra, spec)
+            alg_c, spec_c = canonical_form_bruteforce(algebra, spec)
             found[(alg_c, spec_c)] = (alg_c, spec_c)
 
     def extend(start, chosen, dim, support):
@@ -523,9 +525,10 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
     """`classify.enumerate_rectangular` as it was before orderly assembly.
 
     Every pairing of the A1 positions and every ordering of the
-    candidates on equal parts is assembled; `canonical_form` and the
-    results dict merge the copies, and a spec reached twice must carry
-    the same lengths.  Same contract: sorted (algebra, spec, lengths).
+    candidates on equal parts is assembled; `canonical_form_bruteforce`
+    and the results dict merge the copies, and a spec reached twice must
+    carry the same lengths.  Same contract: sorted (algebra, spec,
+    lengths).
     """
     algebras = classify._algebra_pool(max_rank, max_dim, algebras)
     results: dict = {}
@@ -560,7 +563,7 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
                         (part, dict.fromkeys(sub, 1))
                         for part, (sub, _, _) in zip(parts, chosen)])
                     spec = RepSpec.make(algebra, coords.items())
-                    alg_c, spec_c = canonical_form(algebra, spec)
+                    alg_c, spec_c = canonical_form_bruteforce(algebra, spec)
                     ls = tuple(sorted(ln for cand in chosen for ln in cand[2]))
                     seen = results.get((alg_c, spec_c))
                     if seen is not None and seen[2] != ls:
@@ -576,7 +579,8 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
                     assemble(pi + 1, chosen + [cand], dim * cand[1])
 
             assemble(0, [], 1)
-    return sorted(results.values(), key=classify._result_key)
+    return sorted(results.values(), key=lambda e: (
+        e[0].rank, e[0].label, tuple((hw.coords, m) for hw, m in e[1].summands)))
 
 
 def decompose_detector_first(spec: RepSpec) -> Decomposition:
@@ -639,3 +643,93 @@ def decompose_outcome(decompose_fn, spec: RepSpec):
         return decompose_fn(spec)
     except (NotFaithfulError, NotRectangularError, CatalogueMismatchError) as e:
         return type(e), getattr(e, "reason", None), str(e)
+
+
+def canonical_form_bruteforce(algebra: SemisimpleAlgebra, spec: RepSpec):
+    """`classify.canonical_form` as it was before the refined search.
+
+    Same contract: the factor list is sorted, and the least sorted
+    (coords, mult) summand tuple is taken over every block permutation
+    that preserves it, all prod(n_i!) of them for runs of n_i equal
+    factors.
+    """
+    order = sorted(range(len(algebra.factors)),
+                   key=lambda i: (algebra.factors[i], i))
+    sorted_alg = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
+    runs: list[list[int]] = []
+    for j, t in enumerate(sorted_alg.factors):
+        if runs and sorted_alg.factors[runs[-1][0]] == t:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    ranges = algebra.block_ranges()
+    blocks = [([hw.coords[ranges[i].start:ranges[i].stop] for i in order], m)
+              for hw, m in spec.summands]
+    best = min(tuple(sorted((sum((b[p] for run in perm for p in run), ()), m)
+                            for b, m in blocks))
+               for perm in product(*(permutations(run) for run in runs)))
+    return sorted_alg, RepSpec.make(sorted_alg, best)
+
+
+def random_specs(label: str, count: int, seed: int):
+    """Seeded specs over `label` with repeated factor blocks.
+
+    Each summand's blocks are drawn from a small pool of dominant blocks,
+    so equal blocks recur within and across summands, and some
+    multiplicities exceed 1.  Yields (algebra, spec) pairs.
+    """
+    rng = Random(seed)
+    alg = SemisimpleAlgebra.parse(label)
+    pools = [[tuple(rng.randint(0, 2) for _ in range(t.rank))
+              for _ in range(3)] for t in alg.factors]
+    for _ in range(count):
+        summands = {}
+        for _ in range(rng.randint(1, 6)):
+            coords = tuple(x for pool in pools for x in rng.choice(pool))
+            summands[coords] = rng.choice((1, 1, 1, 2, 3))
+        yield alg, RepSpec.make(alg, summands.items())
+
+
+def dominant_weights_box(t: SimpleType, hw):
+    """`charcalc._dominant_weights` as it was before the root descent.
+
+    Same contract: every dominant mu = hw - C.c with c a nonnegative
+    integer vector, found by scanning the box 0 <= c <= C^-1.hw
+    entrywise (C^-1 is entrywise nonnegative), sorted by (sum(c), mu).
+    """
+    m = t.rank
+    c = cartan_matrix(t)
+    n, gi, _ = _root_data(t)
+    d = symmetrizer(t)
+    bounds = [x // (n * di) for x, di in zip(mat_vec(gi, hw), d)]
+    found = []
+    for cc in product(*(range(b + 1) for b in bounds)):
+        mu = tuple(hw[i] - sum(c[i][j] * cc[j] for j in range(m))
+                   for i in range(m))
+        if all(x >= 0 for x in mu):
+            found.append((sum(cc), mu))
+    found.sort()
+    return tuple(mu for _, mu in found)
+
+
+def dominant_weights_up_to_dim_box(t: SimpleType, max_dim: int):
+    """`classify._dominant_weights_up_to_dim` as it was before the axis scan.
+
+    Same contract: the axis maxima bound a box, and the Weyl dimension is
+    taken on every weight in it.
+    """
+    alg = SemisimpleAlgebra((t,))
+    m = t.rank
+    axis_max = []
+    for i in range(m):
+        k = 0
+        while weyl_dimension(alg, tuple((k + 1) * int(j == i)
+                                        for j in range(m))) <= max_dim:
+            k += 1
+        axis_max.append(k)
+    out = []
+    for coords in product(*(range(a + 1) for a in axis_max)):
+        dim = weyl_dimension(alg, coords)
+        if dim <= max_dim:
+            out.append((coords, dim))
+    return tuple(sorted(out))

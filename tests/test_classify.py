@@ -1,12 +1,13 @@
+from collections import Counter
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
-                     NotFaithfulError, NotRectangularError,
+                     NotFaithfulError, NotRectangularError, RectCertificate,
                      SemisimpleAlgebra, canonical_form, catalogue_closure,
                      catalogue_lengths, catalogue_spec, character_of,
                      decompose, detect_rectangular, detect_rectangular_points,
@@ -16,19 +17,25 @@ from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
                      multiplicity_free_irreps, roots_in_plane_census,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
-from rectrep.charcalc import RepSpec, _simple_character, weight_count
-from rectrep.classify import (_a1_pair_parts, _irrep_data, _primitive_normal,
-                              _single_factor_parts)
+from rectrep.charcalc import (RepSpec, _dominant_weights, _simple_character,
+                              weight_count)
+from rectrep.classify import (_TIED, _a1_pair_parts,
+                              _dominant_weights_up_to_dim, _irrep_data,
+                              _primitive_normal, _shuffle_factors,
+                              _simple_types_up_to, _single_factor_parts,
+                              _transpose_step)
 from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
 from oracles import (a1_pair_parts_without_moment_cut,
-                     decompose_detector_first, decompose_outcome,
+                     canonical_form_bruteforce, decompose_detector_first,
+                     decompose_outcome, dominant_weights_box,
+                     dominant_weights_up_to_dim_box,
                      dominant_weights_up_to_dim_fraction,
                      enumerate_rectangular_all_orderings, grid_rect_oracle,
                      multiplicity_free_irreps_freudenthal,
-                     prune_free_rectangular, random_symmetric_sets,
-                     symmetric_sets)
+                     prune_free_rectangular, random_specs,
+                     random_symmetric_sets, symmetric_sets)
 
 
 def spec_of(label, summands):
@@ -259,6 +266,37 @@ def test_canonical_form_identifies_equal_a1_pairs():
     assert canonical_form(a, s1) == canonical_form(a, s2)
 
 
+def test_canonical_form_matches_bruteforce_on_enumeration_and_closure():
+    # each spec at (4, 256), its factors in a seeded random order, must come
+    # back as itself under the refined search and under the full minimum
+    specs = [(a, s) for a, s, _ in enumerate_rectangular(4, 256)]
+    specs += catalogue_closure(4, 256)
+    assert len(specs) > 6000
+    for i, (alg, spec) in enumerate(specs):
+        shuffled = _shuffle_factors(alg, spec, i)
+        assert canonical_form(*shuffled) == (alg, spec)
+        assert canonical_form_bruteforce(*shuffled) == (alg, spec)
+
+
+@pytest.mark.parametrize("label", ["A1*A1", "A1*A1*A1", "A1*A1*A1*A1",
+                                   "A1*A1*A1*A1*A1", "A1*A1*A1*A1*A1*A1",
+                                   "A2*A2", "A2*A2*A2", "A1*A2*A1*A2"])
+def test_canonical_form_matches_bruteforce_on_random_specs(label):
+    # equal blocks within and across summands, multiplicities above 1
+    for alg, spec in random_specs(label, 60, seed=len(label)):
+        assert canonical_form(alg, spec) == canonical_form_bruteforce(alg, spec)
+
+
+def test_a1_parts_in_closed_form_match_detection():
+    parts = _single_factor_parts(SimpleType.parse("A1"), 256)
+    assert len(parts) == 255 + 127
+    for summands, dim, ls in parts:
+        support = {(k,) for (r,) in summands for k in range(-r, r + 1, 2)}
+        assert len(support) == dim
+        cert = detect_rectangular_points(support, 1)
+        assert lengths(with_ambient_padding(cert, 1)) == ls
+
+
 def test_multiplicity_free_irreps_small():
     a1 = multiplicity_free_irreps(SimpleType.parse("A1"), 4)
     assert a1 == ((0,), (1,), (2,), (3,))
@@ -281,6 +319,16 @@ def test_weight_count_and_support_match_freudenthal(label):
         assert (hw in flagged) == is_multiplicity_free(char)
         assert _irrep_data(t, hw) == (char.support, char.mass)
     assert flagged == multiplicity_free_irreps_freudenthal(t, 128)
+
+
+@pytest.mark.parametrize("label", HOWE_TYPES + ("C4",))
+def test_dominant_weight_scans_match_box_oracles(label):
+    # the axis scan and the root descent against whole-box scans
+    t = SimpleType.parse(label)
+    weights = _dominant_weights_up_to_dim(t, 256)
+    assert weights == dominant_weights_up_to_dim_box(t, 256)
+    for hw, _ in weights:
+        assert _dominant_weights(t, hw) == dominant_weights_box(t, hw)
 
 
 def test_multiplicity_free_scan_and_single_factor_search_build_no_character():
@@ -313,6 +361,16 @@ def test_enumerate_matches_prune_free_oracle(label, max_dim):
     assert got == raw
 
 
+@pytest.mark.parametrize("t", _simple_types_up_to(4), ids=lambda t: t.label)
+def test_enumerate_matches_prune_free_oracle_per_simple_type(t):
+    # A1's closed form and the duality test before the detector, against
+    # the raw subset search
+    alg = SemisimpleAlgebra((t,))
+    got = {(a, s) for a, s, _ in enumerate_rectangular(t.rank, 128,
+                                                        algebras=[alg])}
+    assert got == prune_free_rectangular(alg, 128)
+
+
 def test_orderly_enumeration_matches_all_orderings_oracle():
     # one assembly per orbit must find what every pairing and ordering finds
     assert (enumerate_rectangular(3, 128)
@@ -329,6 +387,62 @@ def test_non_adjacent_equal_factors_enumerate_like_adjacent_ones():
 @pytest.mark.parametrize("budget", [4, 9, 16, 25, 32, 64, 128])
 def test_a1_pair_parts_match_search_without_moment_cut(budget):
     assert _a1_pair_parts(budget) == a1_pair_parts_without_moment_cut(budget)
+
+
+def test_transpose_step_keeps_one_of_each_transposed_pair():
+    # every choice of at most one summand per parity class, degrees < 4:
+    # of P and its transpose exactly one passes, and P alone when P = P^T
+    classes = [[(r1, r2) for r1 in range(p1, 4, 2) for r2 in range(p2, 4, 2)]
+               for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    passed = {}
+    for choice in product(*([None] + c for c in classes)):
+        part = tuple(x for x in choice if x is not None)
+        state = _TIED
+        for r1, r2 in part:
+            if state is not None:
+                state = _transpose_step(state, r1, r2)
+        passed[tuple(sorted(part))] = state
+    assert len(passed) == 5 ** 4
+    for part, state in passed.items():
+        flipped = tuple(sorted((r2, r1) for r1, r2 in part))
+        if flipped == part:
+            assert state == _TIED, part
+        else:
+            assert (state is None) != (passed[flipped] is None), part
+            assert state != _TIED, part
+
+
+def _permissive_detector(points, dim):
+    # accepts every leaf that passes the cuts of both A1-pair searches:
+    # square mass, both second-moment tests, columns and rows of at most l
+    # points over at least l distinct values, and both factors acting
+    l = isqrt(len(points))
+    if l < 2 or l * l != len(points):
+        return None
+    for axis in range(2):
+        moment = 12 * sum(p[axis] ** 2 for p in points)
+        lines = Counter(p[axis] for p in points)
+        if (moment % (l * l * (l * l - 1)) or max(lines.values()) > l
+                or len(lines) < l or set(lines) == {0}):
+            return None
+    return RectCertificate((0, 0), ((1, 0), (0, 1)), (l - 1, l - 1))
+
+
+@pytest.mark.parametrize("budget", [64, 128])
+def test_a1_pair_walk_emits_each_leaf_once_with_its_transpose(monkeypatch,
+                                                              budget):
+    # D2Spin, its own transpose, is the only real part at these budgets;
+    # with a detector that accepts more leaves, the transpose-halved
+    # walk must still give exactly the unhalved oracle's parts
+    monkeypatch.setattr("rectrep.classify.detect_rectangular_points",
+                        _permissive_detector)
+    monkeypatch.setattr("oracles.detect_rectangular_points",
+                        _permissive_detector)
+    parts = _a1_pair_parts.__wrapped__(budget)
+    assert parts == a1_pair_parts_without_moment_cut(budget)
+    flipped = [s for s, _, _ in parts
+               if s != tuple(sorted((r2, r1) for r1, r2 in s))]
+    assert len(flipped) >= 4
 
 
 def test_box_second_moment_lemma():
@@ -394,6 +508,14 @@ def test_verify_classification_detects_missing_item():
     rep = verify_classification(2, 64, items=items)
     assert not rep["ok"]
     assert rep["missing_from_catalogue"]
+
+
+def test_verify_classification_spot_checks_canonical_form(monkeypatch):
+    # a canonical form that keeps the factor order fails the spot checks
+    monkeypatch.setattr("rectrep.classify.canonical_form", lambda a, s: (a, s))
+    rep = verify_classification(3, 64)
+    assert rep["equal"] and not rep["ok"]
+    assert rep["unimodular_failures"]
 
 
 def test_verify_howe_small():
