@@ -2,8 +2,9 @@
 """Run the full verification battery and print a one-line-per-check summary.
 
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
-orderly enumerator vs. the assembly over every A1 pairing and ordering
-at (4, 256), `decompose` vs. its detector-first form on every spec at
+sha256 of `rectrep enumerate` stdout at the largest supported bound
+(4, 256) against its pinned value, the orderly enumerator vs. the
+assembly over every A1 pairing and ordering at (4, 256), `decompose` vs. its detector-first form on every spec at
 (4, 256), the multiplicity-free lists for all supported simple types,
 the root-geometry censuses, and (with --sweep) the exhaustive detector
 comparison on the 7x7 grid, a differential of the greedy detector
@@ -23,6 +24,9 @@ prune-free subset search on each simple type of rank <= 4 at dimension
 """
 
 import argparse
+import hashlib
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -35,6 +39,11 @@ from rectrep import (SimpleType, decompose, enumerate_rectangular,
                      verify_classification, verify_howe)
 from oracles import (decompose_detector_first, decompose_outcome,
                      enumerate_rectangular_all_orderings)
+
+# sha256 of `rectrep enumerate --max-rank 4 --max-dim 256` stdout (3 307
+# specs); a change that moves these bytes changes the enumerate output format
+ENUMERATE_4_256_SHA256 = ("d9d0454da99412601f2924db1dcf532fa7dc50cd5f19793c"
+                          "45faeec723ae2d0a")
 
 HOWE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
 CHAR_TYPES = HOWE_TYPES + ("C4",)
@@ -75,6 +84,16 @@ def main() -> int:
             f"enumerated={rep['enumerated']} catalogue={rep['catalogue']} "
             f"spot_checks={rep['unimodular_spot_checks']} "
             f"({time.monotonic() - t:.1f}s)")
+
+    t = time.monotonic()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "rectrep", "enumerate",
+                          "--max-rank", "4", "--max-dim", "256"],
+                         env=env, capture_output=True, check=False).stdout
+    digest = hashlib.sha256(out).hexdigest()
+    all_ok &= check("enumerate stdout sha256 rank<=4 dim<=256",
+                    digest == ENUMERATE_4_256_SHA256,
+                    f"sha256={digest[:12]} ({time.monotonic() - t:.1f}s)")
 
     t = time.monotonic()
     found = enumerate_rectangular(4, 256)

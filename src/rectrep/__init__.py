@@ -6,7 +6,7 @@ Everything is integer/rational arithmetic; no floating point is used
 anywhere.
 """
 
-from .liealg import (SemisimpleAlgebra, SimpleType, Weight, cartan_matrix,
+from .liealg import (SemisimpleAlgebra, SimpleType, cartan_matrix,
                      dominant_conjugate_coords, ortho_coords)
 from .charcalc import (FormalCharacter, RepSpec, character_of, dual_weight,
                        irreducible_character, is_faithful,
@@ -27,7 +27,7 @@ from .classify import (CatalogueItem, CatalogueMismatchError, Decomposition,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SemisimpleAlgebra", "SimpleType", "Weight", "cartan_matrix",
+    "SemisimpleAlgebra", "SimpleType", "cartan_matrix",
     "dominant_conjugate_coords", "ortho_coords",
     "FormalCharacter", "RepSpec", "character_of", "dual_weight",
     "irreducible_character", "is_faithful", "is_multiplicity_free",

@@ -11,10 +11,14 @@ product-algebra recursion.  The number and the set of distinct weights
 need no multiplicities: `weight_count` and `weight_support` read them
 off the dominant weights and their Weyl orbits.
 
-All character entries are keyed by fundamental-weight coordinate tuples;
-the algebra on the container fixes their meaning.  Named aliases (std,
-spin, spin+, spin-, sym k, wedge k, triv, dual) resolve to dominant
-weights here, per simple family.
+All character entries, and every highest weight, are fundamental-weight
+coordinate tuples; the algebra on the container fixes their meaning.  A
+`RepSpec` is its algebra and a tuple of (coords, mult) summands: each
+coords has one integer per unit of the algebra's rank and no negative
+entry, each mult is at least 1, and repeated coords are merged and the
+summands sorted, so equal representations compare equal.  Named aliases
+(std, spin, spin+, spin-, sym k, wedge k, triv, dual) resolve to
+dominant weights here, per simple family.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from .exactlin import IntVector, mat_vec, rational_rref, vec_dot
-from .liealg import (SemisimpleAlgebra, SimpleType, Weight, cartan_matrix,
+from .liealg import (SemisimpleAlgebra, SimpleType, cartan_matrix,
                      dominant_conjugate_coords, positive_root_coords,
                      symmetrizer, weyl_orbit_coords)
 
@@ -213,36 +217,33 @@ class FormalCharacter:
 class RepSpec:
     """A finite-dimensional representation as a sum of irreducibles.
 
-    Summands are (highest weight, multiplicity) pairs, kept sorted by
-    coordinates and deduplicated, so equal representations compare equal.
+    Summands are (coords, mult) pairs: a highest weight as a tuple of
+    fundamental-weight coordinates, one integer per unit of the algebra's
+    rank and none negative, and a multiplicity of at least 1; anything
+    else raises ValueError.  Repeated coords are merged by adding their
+    multiplicities and the summands sorted, so equal representations
+    compare equal.
     """
 
     algebra: SemisimpleAlgebra
-    summands: tuple[tuple[Weight, int], ...]
+    summands: tuple[tuple[IntVector, int], ...]
 
     def __post_init__(self):
+        n = self.algebra.rank
         merged: dict[IntVector, int] = {}
-        for hw, mult in self.summands:
-            if hw.algebra != self.algebra:
-                raise ValueError("summand belongs to a different algebra")
-            if not hw.is_dominant:
-                raise ValueError(f"{hw.coords} is not dominant")
+        for coords, mult in self.summands:
+            coords = tuple(coords)
+            if len(coords) != n:
+                raise ValueError(f"{self.algebra.label} needs {n} coordinates, "
+                                 f"got {len(coords)}")
+            if any(not isinstance(c, int) for c in coords):
+                raise ValueError("weight coordinates must be integers")
+            if any(c < 0 for c in coords):
+                raise ValueError(f"{coords} is not dominant")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            merged[hw.coords] = merged.get(hw.coords, 0) + mult
-        canon = tuple((Weight(self.algebra, c), m)
-                      for c, m in sorted(merged.items()))
-        object.__setattr__(self, "summands", canon)
-
-    @classmethod
-    def make(cls, algebra: SemisimpleAlgebra, summands) -> "RepSpec":
-        """Build from (coords-or-Weight, multiplicity) pairs."""
-        pairs = []
-        for hw, mult in summands:
-            if not isinstance(hw, Weight):
-                hw = Weight(algebra, tuple(hw))
-            pairs.append((hw, mult))
-        return cls(algebra, tuple(pairs))
+            merged[coords] = merged.get(coords, 0) + mult
+        object.__setattr__(self, "summands", tuple(sorted(merged.items())))
 
     @property
     def dimension(self) -> int:
@@ -251,17 +252,13 @@ class RepSpec:
 
 
 def _coords_of(algebra: SemisimpleAlgebra, hw) -> IntVector:
-    if isinstance(hw, Weight):
-        if hw.algebra != algebra:
-            raise ValueError("weight belongs to a different algebra")
-        return hw.coords
     coords = tuple(hw)
     if len(coords) != algebra.rank:
         raise ValueError("coordinate length does not match the algebra rank")
     return coords
 
 
-def weyl_dimension(algebra: SemisimpleAlgebra, hw) -> int:
+def weyl_dimension(algebra: SemisimpleAlgebra, hw: IntVector) -> int:
     """Dimension of the irreducible with highest weight hw (Weyl formula)."""
     coords = _coords_of(algebra, hw)
     if any(x < 0 for x in coords):
@@ -280,7 +277,8 @@ def weyl_dimension(algebra: SemisimpleAlgebra, hw) -> int:
     return dim
 
 
-def irreducible_character(algebra: SemisimpleAlgebra, hw) -> FormalCharacter:
+def irreducible_character(algebra: SemisimpleAlgebra, hw: IntVector
+                          ) -> FormalCharacter:
     coords = _coords_of(algebra, hw)
     if any(x < 0 for x in coords):
         raise ValueError(f"highest weight {coords} is not dominant")
@@ -301,10 +299,10 @@ def character_of(spec: RepSpec) -> FormalCharacter:
     return FormalCharacter(spec.algebra, out)
 
 
-def dual_weight(hw: Weight) -> Weight:
+def dual_weight(algebra: SemisimpleAlgebra, hw: IntVector) -> IntVector:
     """Highest weight of the dual irreducible."""
-    neg = tuple(-x for x in hw.coords)
-    return Weight(hw.algebra, dominant_conjugate_coords(hw.algebra, neg))
+    neg = tuple(-x for x in _coords_of(algebra, hw))
+    return dominant_conjugate_coords(algebra, neg)
 
 
 def restrict_to_factors(c: FormalCharacter, part) -> FormalCharacter:
@@ -331,7 +329,7 @@ def is_faithful(spec: RepSpec) -> bool:
     """True iff every simple factor acts nontrivially on some summand."""
     ranges = spec.algebra.block_ranges()
     for rng in ranges:
-        if not any(any(hw.coords[rng.start:rng.stop]) for hw, _ in spec.summands):
+        if not any(any(hw[rng.start:rng.stop]) for hw, _ in spec.summands):
             return False
     return True
 

@@ -39,7 +39,7 @@ from math import gcd, isqrt, prod
 
 from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
-from .liealg import (SemisimpleAlgebra, SimpleType, Weight, ortho_coords,
+from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
 from .charcalc import (RepSpec, character_of, dual_weight, is_faithful,
                        restrict_to_factors, weight_count, weight_support,
@@ -147,7 +147,7 @@ class CatalogueItem:
 def catalogue_spec(item: CatalogueItem) -> tuple[SemisimpleAlgebra, RepSpec]:
     kind = _CATALOGUE[item.kind]
     alg = SemisimpleAlgebra.parse(kind.algebra(*item.params))
-    return alg, RepSpec.make(alg, [(w, 1) for w in kind.weights(*item.params)])
+    return alg, RepSpec(alg, [(w, 1) for w in kind.weights(*item.params)])
 
 
 def catalogue_lengths(item: CatalogueItem) -> tuple[int, ...]:
@@ -368,9 +368,8 @@ def canonical_form(algebra: SemisimpleAlgebra, spec: RepSpec
                    ) -> tuple[SemisimpleAlgebra, RepSpec]:
     """Canonical representative under permutation of equal factors, as
     `_canonical_summands` finds it."""
-    sorted_alg, best = _canonical_summands(
-        algebra, ((hw.coords, m) for hw, m in spec.summands))
-    return sorted_alg, RepSpec.make(sorted_alg, best)
+    sorted_alg, best = _canonical_summands(algebra, spec.summands)
+    return sorted_alg, RepSpec(sorted_alg, best)
 
 
 @lru_cache(maxsize=None)
@@ -465,8 +464,7 @@ def _single_factor_parts(t: SimpleType, budget: int):
     irreps = []
     for coords in multiplicity_free_irreps(t, budget):
         support, mass = _irrep_data(t, coords)
-        dual = dual_weight(Weight(alg, coords)).coords
-        irreps.append((mass, coords, support, dual))
+        irreps.append((mass, coords, support, dual_weight(alg, coords)))
     irreps.sort()
     n = len(irreps)
     zero = (0,) * t.rank
@@ -765,7 +763,7 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                         for combo in product(*(cand[0] for cand in picked))])
                     if key in results:
                         raise AssertionError(
-                            f"{_spec_label(key[0], RepSpec.make(*key))} assembled twice")
+                            f"{_spec_label(key[0], RepSpec(*key))} assembled twice")
                     results[key] = (tuple(sorted(ln for cand in picked
                                                  for ln in cand[2])),)
                     return
@@ -784,7 +782,7 @@ def _sorted_specs(results: dict) -> list:
     """(algebra, RepSpec, *extra) for each canonical key (algebra,
     ((coords, mult), ...)) of results, whose value is the tuple extra,
     sorted by rank, algebra label and summands."""
-    return [(alg, RepSpec.make(alg, best), *results[alg, best])
+    return [(alg, RepSpec(alg, best), *results[alg, best])
             for alg, best in sorted(results, key=lambda k: (
                 k[0].rank, k[0].label, k[1]))]
 
@@ -803,7 +801,7 @@ def catalogue_closure(max_rank: int, max_dim: int, items=None
         for it in chosen:
             alg, spec = specs[it]
             parts.append((range(len(factors), len(factors) + len(alg.factors)),
-                          {hw.coords: m for hw, m in spec.summands}))
+                          dict(spec.summands)))
             factors += alg.factors
         algebra = SemisimpleAlgebra(factors)
         results[_canonical_summands(
@@ -829,7 +827,7 @@ def _spec_label(algebra: SemisimpleAlgebra, spec: RepSpec) -> str:
     parts = []
     for hw, mult in spec.summands:
         prefix = f"{mult}*" if mult > 1 else ""
-        parts.append(prefix + "hw(" + ",".join(map(str, hw.coords)) + ")")
+        parts.append(prefix + "hw(" + ",".join(map(str, hw)) + ")")
     return f"{algebra.label}: " + " + ".join(parts)
 
 
@@ -840,8 +838,8 @@ def _shuffle_factors(algebra: SemisimpleAlgebra, spec: RepSpec, seed: int
                                        len(algebra.factors))
     ranges = algebra.block_ranges()
     shuffled = SemisimpleAlgebra(tuple(algebra.factors[i] for i in order))
-    return shuffled, RepSpec.make(shuffled, [
-        (tuple(x for i in order for x in hw.coords[ranges[i].start:ranges[i].stop]),
+    return shuffled, RepSpec(shuffled, [
+        (tuple(x for i in order for x in hw[ranges[i].start:ranges[i].stop]),
          m) for hw, m in spec.summands])
 
 
@@ -861,12 +859,15 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     """
     enumerated = enumerate_rectangular(max_rank, max_dim)
     closure = catalogue_closure(max_rank, max_dim, items=items)
-    ekeys = {(a, s.summands): (a, s) for a, s, _ in enumerated}
-    ckeys = {(a, s.summands): (a, s) for a, s in closure}
-    missing = [_spec_label(*ekeys[k]) for k in sorted(ekeys.keys() - ckeys.keys(),
-                                                      key=str)]
-    unexpected = [_spec_label(*ckeys[k]) for k in sorted(ckeys.keys() - ekeys.keys(),
-                                                         key=str)]
+    especs = {(a, s) for a, s, _ in enumerated}
+    cspecs = set(closure)
+
+    def labels(pairs):
+        return [_spec_label(a, s) for a, s in sorted(
+            pairs, key=lambda p: (p[0].rank, p[0].label, p[1].summands))]
+
+    missing = labels(especs - cspecs)
+    unexpected = labels(cspecs - especs)
     roundtrip_failures = []
     corollary_violations = []
     rng_specs = []

@@ -32,7 +32,7 @@ import json
 import sys
 from math import prod
 
-from .liealg import SemisimpleAlgebra, SimpleType, Weight
+from .liealg import SemisimpleAlgebra, SimpleType
 from .charcalc import (AliasError, RepSpec, character_of, dual_weight,
                        is_multiplicity_free, resolve_alias)
 from .rectkit import (automorphism_order, detect_rectangular, from_character,
@@ -139,11 +139,6 @@ def parse_algebra(text: str) -> SemisimpleAlgebra:
     return SemisimpleAlgebra(tuple(factors))
 
 
-def _local_dual(t: SimpleType, coords):
-    alg = SemisimpleAlgebra((t,))
-    return dual_weight(Weight(alg, coords)).coords
-
-
 def _parse_irrep(ts: _TokenStream, t: SimpleType):
     """Options for one irreducible of the factor t (spin on D gives two)."""
     tok = ts.expect("name")
@@ -164,7 +159,7 @@ def _parse_irrep(ts: _TokenStream, t: SimpleType):
         ts.expect("(")
         inner = _parse_irrep(ts, t)
         ts.expect(")")
-        return [_local_dual(t, c) for c in inner]
+        return [dual_weight(SemisimpleAlgebra((t,)), c) for c in inner]
     arg = None
     if name in ("sym", "wedge"):
         arg = ts.expect("int")[1]
@@ -195,7 +190,7 @@ def parse_rep(text: str, algebra: SemisimpleAlgebra) -> RepSpec:
         if tok[0] != "+":
             raise ParseError(f"expected '+' between summands, found {tok[1]!r}",
                              tok[2])
-    return RepSpec.make(algebra, [(c, 1) for c in summands])
+    return RepSpec(algebra, [(c, 1) for c in summands])
 
 
 # ------------------------------------------------------------- rendering
@@ -230,7 +225,7 @@ def render_spec(spec: RepSpec) -> str:
     ranges = spec.algebra.block_ranges()
     terms = []
     for hw, mult in spec.summands:
-        parts = [render_irrep(t, hw.coords[r.start:r.stop])
+        parts = [render_irrep(t, hw[r.start:r.stop])
                  for t, r in zip(spec.algebra.factors, ranges)]
         terms.extend(["*".join(parts)] * mult)
     return " + ".join(terms)
@@ -294,19 +289,19 @@ def _verdict(report: dict, lines, message: str) -> _Outcome:
 def _cmd_char(args) -> _Outcome:
     algebra, spec = _load_spec(args)
     char = character_of(spec)
-    weights = [{"coords": list(w), "mult": m}
-               for w, m in sorted(char.entries.items())]
+    entries = sorted(char.entries.items())
+    dimension = spec.dimension
     result = {
         "algebra": algebra.label,
         "rep": render_spec(spec),
-        "dimension": spec.dimension,
+        "dimension": dimension,
         "mass": char.mass,
         "multiplicity_free": is_multiplicity_free(char),
-        "weights": weights,
+        "weights": [{"coords": list(w), "mult": m} for w, m in entries],
     }
     lines = [f"character of {result['rep']} over {algebra.label}",
-             f"dimension {spec.dimension}"]
-    lines += [f"  {w}  x{m}" for w, m in sorted(char.entries.items())]
+             f"dimension {dimension}"]
+    lines += [f"  {w}  x{m}" for w, m in entries]
     return result, lines, None
 
 

@@ -103,30 +103,6 @@ class SemisimpleAlgebra:
         return f"SemisimpleAlgebra({self.label})"
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight-lattice element in fundamental-weight coordinates."""
-
-    algebra: SemisimpleAlgebra
-    coords: IntVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.algebra.rank:
-            raise ValueError(
-                f"{self.algebra.label} needs {self.algebra.rank} coordinates, "
-                f"got {len(self.coords)}")
-        if any(not isinstance(c, int) for c in self.coords):
-            raise ValueError("weight coordinates must be integers")
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def __repr__(self):
-        return f"Weight({self.algebra.label}, {self.coords})"
-
-
 def _bonds(t: SimpleType) -> list[tuple[int, int, int, int]]:
     """Dynkin bonds as (i, j, C[i][j], C[j][i]) in Bourbaki ordering."""
     fam, m = t.family, t.rank

@@ -267,7 +267,7 @@ def prune_free_rectangular(algebra: SemisimpleAlgebra, max_dim: int):
     found = {}
 
     def leaf(chosen):
-        spec = RepSpec.make(algebra, [(c, 1) for _, c, _ in chosen])
+        spec = RepSpec(algebra, [(c, 1) for _, c, _ in chosen])
         if not is_faithful(spec):
             return
         support = set()
@@ -562,7 +562,7 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
                     coords = classify._tensor_coords(algebra, [
                         (part, dict.fromkeys(sub, 1))
                         for part, (sub, _, _) in zip(parts, chosen)])
-                    spec = RepSpec.make(algebra, coords.items())
+                    spec = RepSpec(algebra, coords.items())
                     alg_c, spec_c = canonical_form_bruteforce(algebra, spec)
                     ls = tuple(sorted(ln for cand in chosen for ln in cand[2]))
                     seen = results.get((alg_c, spec_c))
@@ -580,7 +580,7 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
 
             assemble(0, [], 1)
     return sorted(results.values(), key=lambda e: (
-        e[0].rank, e[0].label, tuple((hw.coords, m) for hw, m in e[1].summands)))
+        e[0].rank, e[0].label, e[1].summands))
 
 
 def decompose_detector_first(spec: RepSpec) -> Decomposition:
@@ -663,12 +663,12 @@ def canonical_form_bruteforce(algebra: SemisimpleAlgebra, spec: RepSpec):
         else:
             runs.append([j])
     ranges = algebra.block_ranges()
-    blocks = [([hw.coords[ranges[i].start:ranges[i].stop] for i in order], m)
+    blocks = [([hw[ranges[i].start:ranges[i].stop] for i in order], m)
               for hw, m in spec.summands]
     best = min(tuple(sorted((sum((b[p] for run in perm for p in run), ()), m)
                             for b, m in blocks))
                for perm in product(*(permutations(run) for run in runs)))
-    return sorted_alg, RepSpec.make(sorted_alg, best)
+    return sorted_alg, RepSpec(sorted_alg, best)
 
 
 def random_specs(label: str, count: int, seed: int):
@@ -687,7 +687,7 @@ def random_specs(label: str, count: int, seed: int):
         for _ in range(rng.randint(1, 6)):
             coords = tuple(x for pool in pools for x in rng.choice(pool))
             summands[coords] = rng.choice((1, 1, 1, 2, 3))
-        yield alg, RepSpec.make(alg, summands.items())
+        yield alg, RepSpec(alg, summands.items())
 
 
 def dominant_weights_box(t: SimpleType, hw):

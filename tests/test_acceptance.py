@@ -49,7 +49,7 @@ def timed(budget_s):
 
 def ortho_weight_set(label, summands):
     alg = SemisimpleAlgebra.parse(label)
-    spec = RepSpec.make(alg, summands)
+    spec = RepSpec(alg, summands)
     char = character_of(spec)
     out = set()
     for coords, m in char.entries.items():
@@ -155,8 +155,7 @@ def test_a3_has_a_unique_rectangular_spec(a3_enumeration):
     assert len(a3_enumeration) == 1
     alg, spec, _ = a3_enumeration[0]
     assert alg.label == "A3"
-    assert {w.coords: m for w, m in spec.summands} == {(1, 0, 0): 1,
-                                                       (0, 0, 1): 1}
+    assert dict(spec.summands) == {(1, 0, 0): 1, (0, 0, 1): 1}
     cert = detect_rectangular(from_character(character_of(spec)))
     assert lengths(with_ambient_padding(cert, 3)) == (2, 2, 2)
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectrep import (SemisimpleAlgebra, SimpleType, Weight, cartan_matrix,
+from rectrep import (SemisimpleAlgebra, SimpleType, cartan_matrix,
                      character_of, dual_weight, irreducible_character,
                      is_faithful, is_multiplicity_free, restrict_to_factors,
                      weyl_dimension)
@@ -126,32 +126,58 @@ def test_a1_sym_characters_are_chains():
 def test_dual_character_is_negation():
     alg = SemisimpleAlgebra.parse("A3")
     c = irreducible_character(alg, (1, 0, 0))
-    d = irreducible_character(alg, dual_weight(Weight(alg, (1, 0, 0))).coords)
+    d = irreducible_character(alg, dual_weight(alg, (1, 0, 0)))
     assert d.entries == {tuple(-x for x in k): m for k, m in c.entries.items()}
 
 
 def test_self_dual_families():
     for label, hw in [("B3", (0, 0, 1)), ("C3", (1, 0, 0)), ("G2", (1, 0))]:
         alg = SemisimpleAlgebra.parse(label)
-        w = Weight(alg, hw)
-        assert dual_weight(w) == w
+        assert dual_weight(alg, hw) == hw
 
 
 def summand_dict(spec):
-    return {w.coords: m for w, m in spec.summands}
+    return dict(spec.summands)
 
 
 def test_repspec_merges_duplicates():
     alg = SemisimpleAlgebra.parse("A1")
-    s = RepSpec.make(alg, [((2,), 1), ((2,), 2), ((0,), 1)])
+    s = RepSpec(alg, [((2,), 1), ((2,), 2), ((0,), 1)])
     assert summand_dict(s) == {(0,): 1, (2,): 3}
-    assert s == RepSpec.make(alg, [((0,), 1), ((2,), 3)])
-    assert hash(s) == hash(RepSpec.make(alg, [((0,), 1), ((2,), 3)]))
+    assert s == RepSpec(alg, [((0,), 1), ((2,), 3)])
+    assert hash(s) == hash(RepSpec(alg, [((0,), 1), ((2,), 3)]))
+
+
+B2 = SemisimpleAlgebra.parse("B2")
+
+
+@pytest.mark.parametrize("build, summands", [
+    (lambda: RepSpec(B2, [((1, 0), 1), ((0, 1), 1), ((1, 0), 2)]),
+     (((0, 1), 1), ((1, 0), 3))),
+    (lambda: RepSpec(B2, [((1, 0, 0), 1)]), None),
+    (lambda: RepSpec(B2, [((1.0, 0), 1)]), None),
+    (lambda: RepSpec(B2, [((0, 1), 1), ((1, -1), 1)]), None),
+    (lambda: RepSpec(B2, [((1, 0), 0)]), None),
+    (lambda: weyl_dimension(B2, (1, 0, 0)), None),
+    (lambda: irreducible_character(B2, (1,)), None),
+    (lambda: dual_weight(B2, (1, 0, 0)), None),
+], ids=["merge", "length", "non-integer", "negative", "mult-0",
+        "weyl_dimension-length", "irreducible_character-length",
+        "dual_weight-length"])
+def test_highest_weight_checks(build, summands):
+    """RepSpec merges repeated summands and sorts them; a malformed highest
+    weight or multiplicity raises ValueError there and in the functions
+    that take coordinates."""
+    if summands is None:
+        with pytest.raises(ValueError):
+            build()
+    else:
+        assert build().summands == summands
 
 
 def test_character_of_adds_summands():
     alg = SemisimpleAlgebra.parse("B2")
-    spec = RepSpec.make(alg, [((1, 0), 1), ((0, 1), 1)])
+    spec = RepSpec(alg, [((1, 0), 1), ((0, 1), 1)])
     c = character_of(spec)
     assert c.mass == 9
     std = irreducible_character(alg, (1, 0))
@@ -176,7 +202,7 @@ def test_external_tensor_mass_and_entries():
 
 def test_restrict_to_factors():
     alg = SemisimpleAlgebra.parse("A1*B2")
-    spec = RepSpec.make(alg, [((1, 0, 1), 1)])
+    spec = RepSpec(alg, [((1, 0, 1), 1)])
     c = character_of(spec)
     right = restrict_to_factors(c, (1,))
     spin = irreducible_character(SemisimpleAlgebra.parse("B2"), (0, 1))
@@ -188,19 +214,19 @@ def test_restrict_to_factors():
 
 def test_multiplicity_free_detection():
     alg = SemisimpleAlgebra.parse("A1")
-    assert is_multiplicity_free(character_of(RepSpec.make(alg, [((3,), 1)])))
-    assert not is_multiplicity_free(character_of(RepSpec.make(alg, [((3,), 2)])))
+    assert is_multiplicity_free(character_of(RepSpec(alg, [((3,), 1)])))
+    assert not is_multiplicity_free(character_of(RepSpec(alg, [((3,), 2)])))
     # sym2 + triv share the zero weight
     assert not is_multiplicity_free(
-        character_of(RepSpec.make(alg, [((2,), 1), ((0,), 1)])))
+        character_of(RepSpec(alg, [((2,), 1), ((0,), 1)])))
 
 
 def test_is_faithful():
     alg = SemisimpleAlgebra.parse("A1*A1")
-    assert is_faithful(RepSpec.make(alg, [((1, 1), 1)]))
-    assert not is_faithful(RepSpec.make(alg, [((1, 0), 1)]))
-    assert is_faithful(RepSpec.make(alg, [((1, 0), 1), ((0, 1), 1)]))
-    assert not is_faithful(RepSpec.make(alg, [((0, 0), 1)]))
+    assert is_faithful(RepSpec(alg, [((1, 1), 1)]))
+    assert not is_faithful(RepSpec(alg, [((1, 0), 1)]))
+    assert is_faithful(RepSpec(alg, [((1, 0), 1), ((0, 1), 1)]))
+    assert not is_faithful(RepSpec(alg, [((0, 0), 1)]))
 
 
 def test_resolve_alias_std_spin():
@@ -237,10 +263,10 @@ def test_resolve_alias_errors():
 
 def test_dual_spec_roundtrip():
     alg = SemisimpleAlgebra.parse("A3")
-    spec = RepSpec.make(alg, [((1, 0, 0), 1), ((0, 1, 0), 2)])
+    spec = RepSpec(alg, [((1, 0, 0), 1), ((0, 1, 0), 2)])
 
     def dual_spec(s):
-        return RepSpec(alg, tuple((dual_weight(hw), m) for hw, m in s.summands))
+        return RepSpec(alg, tuple((dual_weight(alg, hw), m) for hw, m in s.summands))
 
     assert dual_spec(dual_spec(spec)) == spec
     assert character_of(dual_spec(spec)).entries == {

@@ -40,7 +40,7 @@ from oracles import (a1_pair_parts_without_moment_cut,
 
 def spec_of(label, summands):
     alg = SemisimpleAlgebra.parse(label)
-    return RepSpec.make(alg, [(c, m) for c, m in summands])
+    return RepSpec(alg, [(c, m) for c, m in summands])
 
 
 def test_item_validation():
@@ -103,8 +103,8 @@ def test_decompose_tensor_of_two_items():
     # Spin(D2) on the outer A1 pair times (Std + Spin)(B2) in the middle:
     # Spin(D2) = (std x triv) + (triv x std), so the product has 4 summands
     alg = SemisimpleAlgebra.parse("A1*B2*A1")
-    spec = RepSpec.make(alg, [((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1),
-                              ((0, 1, 0, 1), 1), ((0, 0, 1, 1), 1)])
+    spec = RepSpec(alg, [((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1),
+                         ((0, 1, 0, 1), 1), ((0, 0, 1, 1), 1)])
     dec = decompose(spec)
     by_item = {item.kind: positions for positions, item in dec.parts}
     assert by_item == {"D2Spin": (0, 2), "B2StdSpin": (1,)}
@@ -115,8 +115,8 @@ def test_decompose_pairs_up_a1_quadruple():
     # Spin(D2) x Spin(D2): the pair match must take {0,1} and {2,3},
     # never {0,2}, whose restriction is not multiplicity-constant
     alg = SemisimpleAlgebra.parse("A1*A1*A1*A1")
-    spec = RepSpec.make(alg, [((1, 0, 1, 0), 1), ((1, 0, 0, 1), 1),
-                              ((0, 1, 1, 0), 1), ((0, 1, 0, 1), 1)])
+    spec = RepSpec(alg, [((1, 0, 1, 0), 1), ((1, 0, 0, 1), 1),
+                         ((0, 1, 1, 0), 1), ((0, 1, 0, 1), 1)])
     dec = decompose(spec)
     assert sorted((pos, item.kind) for pos, item in dec.parts) == [
         ((0, 1), "D2Spin"), ((2, 3), "D2Spin")]
@@ -127,7 +127,7 @@ def test_decompose_full_tensor_of_stds_is_all_singletons():
     # D2 pair forms: restriction to any factor pair has the full square
     # support, not the diamond
     alg = SemisimpleAlgebra.parse("A1*A1*A1*A1")
-    spec = RepSpec.make(alg, [((1, 1, 1, 1), 1)])
+    spec = RepSpec(alg, [((1, 1, 1, 1), 1)])
     dec = decompose(spec)
     assert [(pos, item.label) for pos, item in dec.parts] == [
         ((0,), "A1Sym(1)"), ((1,), "A1Sym(1)"),
@@ -137,7 +137,7 @@ def test_decompose_full_tensor_of_stds_is_all_singletons():
 def test_decompose_mixed_sym_factors():
     # sym3 x sym2 tensor: two 1-factor parts
     alg = SemisimpleAlgebra.parse("A1*A1")
-    spec = RepSpec.make(alg, [((3, 2), 1)])
+    spec = RepSpec(alg, [((3, 2), 1)])
     dec = decompose(spec)
     items = sorted((positions, item.label) for positions, item in dec.parts)
     assert items == [((0,), "A1Sym(3)"), ((1,), "A1Sym(2)")]
@@ -201,12 +201,12 @@ def test_decompose_matches_detector_first_oracle():
     seen = set()
     for item in iter_catalogue_items(4, 64):
         alg, spec = catalogue_spec(item)
-        summands = [(hw.coords, m) for hw, m in spec.summands]
+        summands = list(spec.summands)
         a2 = SemisimpleAlgebra(alg.factors + (SimpleType("A", 2),))
         for variant in (spec,
-                        RepSpec.make(alg, [(c, 2 * m) for c, m in summands]),
-                        RepSpec.make(alg, summands + [((0,) * alg.rank, 1)]),
-                        RepSpec.make(a2, [(c + (1, 0), m) for c, m in summands])):
+                        RepSpec(alg, [(c, 2 * m) for c, m in summands]),
+                        RepSpec(alg, summands + [((0,) * alg.rank, 1)]),
+                        RepSpec(a2, [(c + (1, 0), m) for c, m in summands])):
             seen.add(same_decompose_outcome(variant))
     for _, spec, _ in enumerate_rectangular(3, 128):
         assert same_decompose_outcome(spec) == "decomposes"
@@ -253,16 +253,16 @@ def test_decompose_reassembly_matches_lengths():
 
 def test_canonical_form_is_order_invariant():
     a = SemisimpleAlgebra.parse("A1*B2")
-    sa = RepSpec.make(a, [((1, 0, 1), 1), ((1, 1, 0), 1)])
+    sa = RepSpec(a, [((1, 0, 1), 1), ((1, 1, 0), 1)])
     b = SemisimpleAlgebra.parse("B2*A1")
-    sb = RepSpec.make(b, [((0, 1, 1), 1), ((1, 0, 1), 1)])
+    sb = RepSpec(b, [((0, 1, 1), 1), ((1, 0, 1), 1)])
     assert canonical_form(a, sa) == canonical_form(b, sb)
 
 
 def test_canonical_form_identifies_equal_a1_pairs():
     a = SemisimpleAlgebra.parse("A1*A1")
-    s1 = RepSpec.make(a, [((3, 1), 1)])
-    s2 = RepSpec.make(a, [((1, 3), 1)])
+    s1 = RepSpec(a, [((3, 1), 1)])
+    s2 = RepSpec(a, [((1, 3), 1)])
     assert canonical_form(a, s1) == canonical_form(a, s2)
 
 
@@ -503,11 +503,16 @@ def test_verify_classification_small():
 
 
 def test_verify_classification_detects_missing_item():
-    # drop one catalogue family: the report must flag the gap, not hide it
-    items = [i for i in iter_catalogue_items(2, 64) if i.kind != "B2StdSpin"]
+    # drop two catalogue families: the report must flag the gap, not hide it
+    items = [i for i in iter_catalogue_items(2, 64)
+             if i.kind not in ("B2StdSpin", "A1PairSym")]
     rep = verify_classification(2, 64, items=items)
     assert not rep["ok"]
-    assert rep["missing_from_catalogue"]
+    missing = rep["missing_from_catalogue"]
+    assert "B2: hw(0,1) + hw(1,0)" in missing
+    # sorted by rank, algebra label and summands, so hw(2) precedes hw(10)
+    assert missing[:31] == [f"A1: hw({r}) + hw({r + 1})" for r in range(31)]
+    assert all(not label.startswith("A1: ") for label in missing[31:])
 
 
 def test_verify_classification_spot_checks_canonical_form(monkeypatch):

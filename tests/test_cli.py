@@ -45,7 +45,7 @@ def test_parse_algebra_aliases_and_order():
 
 
 def summand_dict(spec):
-    return {w.coords: m for w, m in spec.summands}
+    return dict(spec.summands)
 
 
 def test_parse_rep_basics():
