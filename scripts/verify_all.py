@@ -4,23 +4,27 @@
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
 sha256 of `rectrep enumerate` stdout at the largest supported bound
 (4, 256) against its pinned value, the orderly enumerator vs. the
-assembly over every A1 pairing and ordering at (4, 256), `decompose` vs. its detector-first form on every spec at
-(4, 256), the multiplicity-free lists for all supported simple types,
-the root-geometry censuses, and (with --sweep) the exhaustive detector
-comparison on the 7x7 grid, a differential of the greedy detector
-against the old quadratic one on seeded random 3-D and 4-D sets, a
-differential of the integer Freudenthal recursion and Weyl formula
-against their `Fraction` forms, of the weight count and orbit-union
-support against the Freudenthal character, and of the root-descent and
-axis scans of dominant weights against whole-box scans, on every
-dominant weight of dimension <= 512 for the types of rank <= 4, the
-A1-pair part search against its form without the second-moment cut at
-budgets 256 and 512, the closed-form A1 parts against the detector at
-budget 1024, the refined `canonical_form` against the minimum over
-every permutation on each spec at (4, 256), enumerated and from the
-closure, with its factors shuffled, and the enumerator against the
-prune-free subset search on each simple type of rank <= 4 at dimension
-256. Exits nonzero if any check fails.
+assembly over every A1 pairing and ordering at (4, 256), `decompose` vs.
+its detector-first form on every spec at (4, 256), a forward check of
+`decompose` beyond the enumeration bounds (every spec of the catalogue
+closure at (5, 512), and at (6, 1024) with --sweep, must decompose into
+items whose lengths multiply to its dimension and whose highest weights
+tensor back to its summands), the multiplicity-free lists for all
+supported simple types, the root-geometry censuses, and (with --sweep)
+the exhaustive detector comparison on the 7x7 grid, a differential of
+the greedy detector against the old quadratic one on seeded random 3-D
+and 4-D sets, a differential of the integer Freudenthal recursion and
+Weyl formula against their `Fraction` forms, of the weight count and
+orbit-union support against the Freudenthal character, and of the
+root-descent and axis scans of dominant weights against whole-box scans,
+on every dominant weight of dimension <= 512 for the types of rank <= 4,
+the A1-pair part search against its form without the second-moment cut
+at budgets 256 and 512, the closed-form A1 parts against the detector at
+budget 1024, the refined `canonical_form` against the minimum over every
+permutation on each spec at (4, 256), enumerated and from the closure,
+with its factors shuffled, and the enumerator against the prune-free
+subset search on each simple type of rank <= 4 at dimension 256. Exits
+nonzero if any check fails.
 """
 
 import argparse
@@ -29,16 +33,18 @@ import os
 import subprocess
 import sys
 import time
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rectrep import (SimpleType, decompose, enumerate_rectangular,
-                     long_roots_3space_census, roots_in_plane_census,
-                     verify_classification, verify_howe)
+from rectrep import (Decomposition, SimpleType, catalogue_closure,
+                     decompose, enumerate_rectangular, long_roots_3space_census,
+                     roots_in_plane_census, verify_classification,
+                     verify_howe)
 from oracles import (decompose_detector_first, decompose_outcome,
-                     enumerate_rectangular_all_orderings)
+                     enumerate_rectangular_all_orderings, tensor_summands)
 
 # sha256 of `rectrep enumerate --max-rank 4 --max-dim 256` stdout (3 307
 # specs); a change that moves these bytes changes the enumerate output format
@@ -62,7 +68,8 @@ def main() -> int:
     ap.add_argument("--howe-dim", type=int, default=512)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
-                    help="also run the exhaustive 7x7-grid detector sweep, "
+                    help="also run the (6,1024) decompose forward check, "
+                         "the exhaustive 7x7-grid detector sweep, "
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
                          "(with the weight count, support and dominant "
@@ -108,6 +115,21 @@ def main() -> int:
     all_ok &= check("decompose vs detector-first decompose rank<=4 dim<=256",
                     bad == 0, f"specs={len(found)} disagreements={bad} "
                     f"({time.monotonic() - t:.1f}s)")
+
+    for rank, dim in ((5, 512), (6, 1024)) if args.sweep else ((5, 512),):
+        t = time.monotonic()
+        closure = catalogue_closure(rank, dim)
+        bad = 0
+        for _, spec in closure:
+            dec = decompose_outcome(decompose, spec)
+            bad += not (isinstance(dec, Decomposition)
+                        and prod(dec.lengths) == spec.dimension
+                        and tensor_summands(spec.algebra, dec)
+                        == dict(spec.summands))
+        all_ok &= check(f"decompose of the catalogue closure rank<={rank} "
+                        f"dim<={dim}", bad == 0,
+                        f"specs={len(closure)} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
 
     for label in HOWE_TYPES:
         rep = verify_howe(SimpleType.parse(label), args.howe_dim)
@@ -205,8 +227,7 @@ def main() -> int:
                 parts == a1_pair_parts_without_moment_cut(budget),
                 f"parts={len(parts)} ({time.monotonic() - t:.1f}s)")
 
-        from rectrep import (canonical_form, catalogue_closure,
-                             with_ambient_padding)
+        from rectrep import canonical_form, with_ambient_padding
         from rectrep.classify import (_shuffle_factors, _simple_types_up_to,
                                       _single_factor_parts)
         from oracles import canonical_form_bruteforce, prune_free_rectangular

@@ -41,9 +41,9 @@ from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
-from .charcalc import (RepSpec, character_of, dual_weight, is_faithful,
-                       restrict_to_factors, weight_count, weight_support,
-                       weyl_dimension)
+from .charcalc import (FormalCharacter, RepSpec, character_of, dual_weight,
+                       is_faithful, is_multiplicity_free, restrict_to_factors,
+                       weight_count, weight_support, weyl_dimension)
 from .rectkit import (detect_rectangular, detect_rectangular_points,
                       from_character, lengths, transform,
                       with_ambient_padding)
@@ -65,7 +65,7 @@ class NotRectangularError(ValueError):
 
 
 class CatalogueMismatchError(RuntimeError):
-    """Decomposition could not be reassembled from catalogue items."""
+    """A box input whose factors match no catalogue item."""
 
 
 def _fw(m: int, i: int) -> tuple[int, ...]:
@@ -191,25 +191,33 @@ class Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _item_character(item: CatalogueItem) -> dict:
-    """The item's character entries {coords: mult}, built once; read only."""
-    return character_of(catalogue_spec(item)[1]).entries
+def _item_support(item: CatalogueItem) -> frozenset:
+    """The item's highest weights as a set (each has multiplicity 1),
+    which `_catalogue_item` checks a match against."""
+    return frozenset(_CATALOGUE[item.kind].weights(*item.params))
 
 
-@lru_cache(maxsize=None)
-def _item_support(item: CatalogueItem):
-    """The item's support, a set-like view of its cached character."""
-    return _item_character(item).keys()
+def _catalogue_item(label: str, weights: frozenset) -> CatalogueItem | None:
+    """The catalogue item over the algebra `label` with these highest
+    weights, or None.
 
-
-@lru_cache(maxsize=None)
-def _catalogue_items_over(algebra: SemisimpleAlgebra, mass: int
-                          ) -> tuple[CatalogueItem, ...]:
-    """Catalogue items over exactly this algebra with dimension mass."""
-    return tuple(CatalogueItem(k, p)
-                 for k, p, ls in _catalogue_entries(algebra.rank, mass)
-                 if prod(ls) == mass
-                 and _CATALOGUE[k].algebra(*p) == algebra.label)
+    `_Kind.weights` is inverted in closed form: an A1 kind's parameters
+    are its highest weights, largest first, BmSpin's and DmSpin's m is
+    the rank in the label, and the other kinds take none.  The kind's
+    own weights then confirm the match, so no dimension bound applies.
+    """
+    if label == "A1":
+        guess = tuple(sorted((w for (w,) in weights), reverse=True))
+    else:
+        guess = (int(label[1:]),) if label[1:].isdigit() else ()
+    for k, kind in _CATALOGUE.items():
+        params = guess if kind.first else ()
+        if (len(params) == len(kind.first) and kind.valid(*params)
+                and kind.algebra(*params) == label):
+            item = CatalogueItem(k, params)
+            if _item_support(item) == weights:
+                return item
+    return None
 
 
 def _tensor_coords(algebra: SemisimpleAlgebra, parts) -> dict:
@@ -241,63 +249,59 @@ def _rect_reason(entries: dict) -> str | None:
 def decompose(spec: RepSpec) -> Decomposition:
     """Factor a faithful rectangular representation over the catalogue.
 
-    The O(N) multiplicity and symmetry tests run first.  Then each simple
-    factor, and then each pair of the factors left over, is matched
-    against the catalogue items over that sub-algebra: the restricted
-    character must be a constant multiple of the item's character, so
-    equal multiplicities on the item's support.  A part of a tensor
-    product restricts that way; a factor of a multi-factor part does
-    not, since its restriction is not multiplicity-constant.  The
-    external tensor of the matched items is rebuilt and compared against
-    the input character exactly.
+    The proof is read off the highest weights, with no character.
+    An irreducible of g1 x g2 is V1 x V2, its highest weight the two
+    blocks joined.  Take a spec of n summands, each of multiplicity 1,
+    and a part P (each single factor, then each pair of the factors
+    left over).  Let S be the summands' projection onto P's blocks and
+    R their projection onto the other blocks.  The summands lie in
+    S x R, so they fill it, and the spec splits off P as S x R, iff
+    |S| |R| = n.  Splitting off P leaves R, which splits the same way,
+    so once every factor lies in a part the summand set is the product
+    of the parts' sets S.  If each S is the highest-weight set of a
+    catalogue item (`_catalogue_item`), the spec is the external tensor
+    product of those items, each a box image (their lengths are checked
+    against detection in the tests), and a tensor of boxes is a box
+    with the joined lengths, `Decomposition.lengths`.
 
-    The rebuild, not the box detector, proves rectangularity.  A rebuild
-    equal to the input makes the input an external tensor of catalogue
-    items, each a box image (its lengths are checked against detection
-    in the tests).  A tensor of boxes is a box with the joined lengths,
-    and the detector is exact on box images, so it would accept the
-    input with `Decomposition.lengths`.  The detector runs only when
-    some factor matches no item or the rebuild differs, to tell a
-    non-box input ("box mismatch") from a gap in the catalogue.
+    Characters are built only to explain a failure: a summand of
+    multiplicity above 1, or a factor in no matched part.  The O(N)
+    multiplicity and symmetry tests, then the box detector, tell a
+    non-box input (`NotRectangularError`) from a gap in the catalogue
+    (`CatalogueMismatchError`).
     """
     if not is_faithful(spec):
         raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
-    full = character_of(spec)
-    reason = _rect_reason(full.entries)
-    if reason is not None:
-        raise NotRectangularError(reason)
-
-    def failure(message: str) -> Exception:
-        if detect_rectangular(from_character(full)) is None:
-            return NotRectangularError("box mismatch")
-        return CatalogueMismatchError(message)
-
-    factors = spec.algebra.factors
+    # the highest weights as a multiset, to project onto blocks
+    highest = FormalCharacter(spec.algebra, dict(spec.summands))
+    factors = range(len(spec.algebra.factors))
     parts: list[tuple[tuple[int, ...], CatalogueItem]] = []
     taken: set[int] = set()
-    for size in (1, 2):
-        for positions in combinations(range(len(factors)), size):
+    for size in (1, 2) if is_multiplicity_free(highest) else ():
+        for positions in combinations(factors, size):
             if not taken.isdisjoint(positions):
                 continue
-            restr = restrict_to_factors(full, positions)
-            if len(set(restr.entries.values())) != 1:
+            proj = restrict_to_factors(highest, positions)
+            others = [i for i in factors if i not in positions]
+            rest = (len(restrict_to_factors(highest, others).entries)
+                    if others else 1)
+            if len(proj.entries) * rest != len(spec.summands):
                 continue
-            sub = SemisimpleAlgebra(tuple(factors[j] for j in positions))
-            support = restr.support
-            match = next((item for item in _catalogue_items_over(sub, len(support))
-                          if _item_support(item) == support), None)
+            match = _catalogue_item(proj.algebra.label, proj.support)
             if match is not None:
                 parts.append((positions, match))
                 taken.update(positions)
     if len(taken) < len(factors):
-        left = sorted(set(range(len(factors))) - taken)
-        raise failure(f"factors at positions {left} of {spec.algebra.label} "
-                      "match no catalogue item")
+        full = character_of(spec)
+        reason = _rect_reason(full.entries)
+        if reason is None and detect_rectangular(from_character(full)) is None:
+            reason = "box mismatch"
+        if reason is not None:
+            raise NotRectangularError(reason)
+        left = sorted(set(factors) - taken)
+        raise CatalogueMismatchError(f"factors at positions {left} of "
+                                     f"{spec.algebra.label} match no catalogue item")
     parts.sort()
-    rebuilt = _tensor_coords(spec.algebra, [
-        (positions, _item_character(item)) for positions, item in parts])
-    if rebuilt != full.entries:
-        raise failure("reassembled tensor does not match the input")
     return Decomposition(tuple(parts))
 
 
@@ -848,8 +852,8 @@ def verify_classification(max_rank: int, max_dim: int, items=None,
     """Compare brute-force enumeration against the catalogue closure.
 
     Two independently written generators must produce identical canonical
-    sets; every enumerated spec must decompose and reassemble, with the
-    catalogue items' lengths equal to the enumerated ones; structural
+    sets; every enumerated spec must decompose, with the catalogue
+    items' lengths equal to the enumerated ones; structural
     corollaries (power-of-two summand counts, even-length specs being
     irreducible A1 tensors) must hold.  Up to 20 sampled specs are spot
     checked: the detector must give the enumerated lengths on a random

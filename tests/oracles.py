@@ -9,8 +9,8 @@ the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
 library used before its integer-scaled ones, the A1-pair part search
 before its second-moment cut, and the enumerator's assembly over every
 A1 pairing and every ordering of equal parts before orderly assembly,
-`decompose` as it was when the box detector, not the exact rebuild,
-decided rectangularity, the multiplicity-free scan as it was when
+`decompose` as it was when the box detector decided rectangularity
+and characters the split, the multiplicity-free scan as it was when
 it built every Freudenthal character rather than counting weights from
 the dominant ones, `canonical_form` as a minimum over every permutation
 of equal factors, and the dominant-weight scans over whole boxes before
@@ -27,11 +27,12 @@ from random import Random
 
 from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
                      NotRectangularError, RectCertificate, SemisimpleAlgebra,
-                     catalogue_spec, character_of, classify,
-                     detect_rectangular, detect_rectangular_points,
+                     catalogue_lengths, catalogue_spec, character_of,
+                     classify, detect_rectangular, detect_rectangular_points,
                      from_character, is_faithful, irreducible_character,
-                     is_multiplicity_free, lengths, restrict_to_factors,
-                     weyl_dimension, with_ambient_padding)
+                     is_multiplicity_free, iter_catalogue_items, lengths,
+                     restrict_to_factors, weyl_dimension,
+                     with_ambient_padding)
 from rectrep.charcalc import RepSpec, _cartan_inverse, _gram, _root_data
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
                               vec_sub)
@@ -583,15 +584,24 @@ def enumerate_rectangular_all_orderings(max_rank: int, max_dim: int,
         e[0].rank, e[0].label, e[1].summands))
 
 
+def catalogue_items_over(algebra: SemisimpleAlgebra, mass: int) -> list:
+    """The catalogue items over exactly this algebra with dimension mass,
+    by a scan of the catalogue up to that dimension."""
+    return [item for item in iter_catalogue_items(algebra.rank, mass)
+            if prod(catalogue_lengths(item)) == mass
+            and catalogue_spec(item)[0] == algebra]
+
+
 def decompose_detector_first(spec: RepSpec) -> Decomposition:
-    """`classify.decompose` as it was before the rebuild proved rectangularity.
+    """`classify.decompose` as it was when characters proved the split.
 
     Same contract: the full box detector runs on every faithful input
     first, a rejection takes its reason from the multiplicity and
-    symmetry tests, and only an accepted input is matched against the
-    catalogue and rebuilt, each item character built anew.  The
-    catalogue lookup and the tensor rebuild are read from `classify` at
-    call time, so a test that replaces them replaces them here too.
+    symmetry tests, and only an accepted input is matched, factor by
+    factor and then pair by pair, against the catalogue items of its
+    restriction's mass (`catalogue_items_over`, so a test can empty the
+    catalogue here too), each item character built anew, and the
+    tensor of the matched items rebuilt and compared with the input.
     """
     if not is_faithful(spec):
         raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
@@ -615,8 +625,7 @@ def decompose_detector_first(spec: RepSpec) -> Decomposition:
                 continue
             sub = SemisimpleAlgebra(tuple(factors[j] for j in positions))
             support = restr.support
-            match = next((item for item in classify._catalogue_items_over(
-                              sub, len(support))
+            match = next((item for item in catalogue_items_over(sub, len(support))
                           if character_of(catalogue_spec(item)[1]).support
                           == support), None)
             if match is not None:
@@ -634,6 +643,14 @@ def decompose_detector_first(spec: RepSpec) -> Decomposition:
     if rebuilt != full.entries:
         raise CatalogueMismatchError("reassembled tensor does not match the input")
     return Decomposition(tuple(parts))
+
+
+def tensor_summands(algebra: SemisimpleAlgebra, dec: Decomposition) -> dict:
+    """The summands {coords: mult} of the external tensor product of
+    dec's items over algebra, built forward from the items' specs."""
+    return classify._tensor_coords(algebra, [
+        (positions, dict(catalogue_spec(item)[1].summands))
+        for positions, item in dec.parts])
 
 
 def decompose_outcome(decompose_fn, spec: RepSpec):

@@ -35,7 +35,8 @@ from oracles import (a1_pair_parts_without_moment_cut,
                      enumerate_rectangular_all_orderings, grid_rect_oracle,
                      multiplicity_free_irreps_freudenthal,
                      prune_free_rectangular, random_specs,
-                     random_symmetric_sets, symmetric_sets)
+                     random_symmetric_sets, symmetric_sets,
+                     tensor_summands)
 
 
 def spec_of(label, summands):
@@ -154,19 +155,34 @@ def test_decompose_round_trips_enumerated_specs():
                for dec in decs) > 1
 
 
+def test_decompose_builds_no_character_on_success():
+    # the split and the catalogue lookup read only the highest weights,
+    # so a successful decompose runs no Freudenthal recursion, however
+    # large the representation
+    found = enumerate_rectangular(3, 128)
+    _simple_character.cache_clear()
+    for _, spec, ls in found:
+        dec = decompose(spec)
+        assert dec.lengths == ls
+        assert tensor_summands(spec.algebra, dec) == dict(spec.summands)
+    for label, summands, parts, ls in [
+            ("A1", [((100000,), 1)], [((0,), "A1Sym(100000)")], (100001,)),
+            ("B12", [((0,) * 11 + (1,), 1)], [((0,), "BmSpin(12)")], (2,) * 12),
+            ("A1*A1", [((1, 0), 1), ((0, 1), 1)], [((0, 1), "D2Spin")], (2, 2))]:
+        dec = decompose(spec_of(label, summands))
+        assert [(p, item.label) for p, item in dec.parts] == parts
+        assert dec.lengths == ls
+    assert _simple_character.cache_info().misses == 0
+
+
 def test_decompose_reports_catalogue_mismatches(monkeypatch):
     spec = spec_of("A1*B2*A1", [((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1),
                                 ((0, 1, 0, 1), 1), ((0, 0, 1, 1), 1)])
-    with monkeypatch.context() as m:
-        m.setattr("rectrep.classify._catalogue_items_over",
-                  lambda algebra, mass: ())
-        with pytest.raises(CatalogueMismatchError,
-                           match=r"positions \[0, 1, 2\] of A1\*B2\*A1"):
-            decompose(spec)
-    with monkeypatch.context() as m:
-        m.setattr("rectrep.classify._tensor_coords", lambda algebra, parts: {})
-        with pytest.raises(CatalogueMismatchError, match="reassembled"):
-            decompose(spec)
+    monkeypatch.setattr("rectrep.classify._catalogue_item",
+                        lambda label, weights: None)
+    with pytest.raises(CatalogueMismatchError,
+                       match=r"positions \[0, 1, 2\] of A1\*B2\*A1"):
+        decompose(spec)
 
 
 def test_decompose_rejections():
@@ -214,8 +230,9 @@ def test_decompose_matches_detector_first_oracle():
     for k in (1, 2, 3):
         for chosen in combinations(irreps, k):
             seen.add(same_decompose_outcome(spec_of("A1*A1", [(c, 1) for c in chosen])))
-    # each factor restricts to 4 x A1PairSym(1,0), yet the sum is no tensor,
-    # so this input fails the rebuild rather than the matching
+    # each factor's character restricts to 4 x A1PairSym(1,0), yet no
+    # factor splits off: its 2 highest-weight blocks times the 3 of the
+    # other factors make 6, not the 3 summands, so this input fails the split
     assert same_decompose_outcome(spec_of("A1*A1*A1", [
         ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)])) == (
         NotRectangularError, "box mismatch")
@@ -225,15 +242,13 @@ def test_decompose_matches_detector_first_oracle():
                     (NotRectangularError, "box mismatch")}
 
 
-@pytest.mark.parametrize("target, fake", [
-    ("_catalogue_items_over", lambda algebra, mass: ()),
-    ("_tensor_coords", lambda algebra, parts: {}),
-])
-def test_decompose_matches_oracle_when_catalogue_fails(monkeypatch, target,
-                                                       fake):
-    # a catalogue with no matching item, or a rebuild that never matches:
+def test_decompose_matches_oracle_when_catalogue_fails(monkeypatch):
+    # a catalogue with no matching item, in decompose and in the oracle:
     # a box input is a CatalogueMismatchError, any other a box mismatch
-    monkeypatch.setattr(f"rectrep.classify.{target}", fake)
+    monkeypatch.setattr("rectrep.classify._catalogue_item",
+                        lambda label, weights: None)
+    monkeypatch.setattr("oracles.catalogue_items_over",
+                        lambda algebra, mass: [])
     d2spin = spec_of("A1*A1", [((1, 0), 1), ((0, 1), 1)])
     assert same_decompose_outcome(d2spin)[0] is CatalogueMismatchError
     assert same_decompose_outcome(spec_of("A1*B2*A1", [

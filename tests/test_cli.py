@@ -479,19 +479,13 @@ def test_argparse_usage_error_honours_pretty(capsys, pretty):
 
 
 def _no_catalogue_match(monkeypatch):
-    monkeypatch.setattr("rectrep.classify._catalogue_items_over",
-                        lambda algebra, mass: ())
-
-
-def _rebuild_mismatch(monkeypatch):
-    monkeypatch.setattr("rectrep.classify._tensor_coords",
-                        lambda algebra, parts: {})
+    monkeypatch.setattr("rectrep.classify._catalogue_item",
+                        lambda label, weights: None)
 
 
 @pytest.mark.parametrize("force, message", [
     (_no_catalogue_match,
      "factors at positions [0, 1] of A1*A1 match no catalogue item"),
-    (_rebuild_mismatch, "reassembled tensor does not match the input"),
 ])
 def test_decompose_catalogue_mismatch_exits_internal(capsys, monkeypatch,
                                                      force, message):
