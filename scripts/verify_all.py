@@ -18,13 +18,13 @@ Weyl formula against their `Fraction` forms, of the weight count and
 orbit-union support against the Freudenthal character, and of the
 root-descent and axis scans of dominant weights against whole-box scans,
 on every dominant weight of dimension <= 512 for the types of rank <= 4,
-the A1-pair part search against its form without the second-moment cut
-at budgets 256 and 512, the closed-form A1 parts against the detector at
-budget 1024, the refined `canonical_form` against the minimum over every
-permutation on each spec at (4, 256), enumerated and from the closure,
-with its factors shuffled, and the enumerator against the prune-free
-subset search on each simple type of rank <= 4 at dimension 256. Exits
-nonzero if any check fails.
+the A1-pair box generator against the former walk over subsets of
+summands at budgets 512 and 1024, the closed-form A1 parts against the
+detector at budget 1024, the refined `canonical_form` against the
+minimum over every permutation on each spec at (4, 256), enumerated and
+from the closure, with its factors shuffled, and the enumerator against
+the prune-free subset search on each simple type of rank <= 4 at
+dimension 256. Exits nonzero if any check fails.
 """
 
 import argparse
@@ -73,7 +73,7 @@ def main() -> int:
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
                          "(with the weight count, support and dominant "
-                         "weight scans), the A1-pair moment-cut "
+                         "weight scans), the A1-pair box-vs-walk "
                          "differential, the A1 closed-form check, the "
                          "canonical-form differential and the per-type "
                          "prune-free comparison")
@@ -217,14 +217,14 @@ def main() -> int:
                         f"({time.monotonic() - t:.1f}s)")
 
         from rectrep.classify import _a1_pair_parts
-        from oracles import a1_pair_parts_without_moment_cut
+        from oracles import a1_pair_parts_walk
 
-        for budget in (256, 512):
+        for budget in (512, 1024):
             t = time.monotonic()
             parts = _a1_pair_parts(budget)
             all_ok &= check(
-                f"A1-pair parts vs search without moment cut, budget {budget}",
-                parts == a1_pair_parts_without_moment_cut(budget),
+                f"A1-pair box generator vs subset walk, budget {budget}",
+                parts == a1_pair_parts_walk(budget),
                 f"parts={len(parts)} ({time.monotonic() - t:.1f}s)")
 
         from rectrep import canonical_form, with_ambient_padding

@@ -16,16 +16,17 @@ pairing of the A1 factors per pair count and non-decreasing candidates
 over equal parts, so each orbit under permutation of equal factors is
 built and canonicalised once, and a spec reached twice is an
 AssertionError rather than a merge.  Within one part the search is
-exhaustive.  A1's parts are in closed form (symmetric powers and
-adjacent pairs; the tests confirm them with the box detector).  Over
-the other types the disjoint-support sums of multiplicity-free
-irreducibles whose highest weights are closed under duality go to the
-detector, and the A1-pair walk sends its leaves there, walking only
-choices that are canonical under swapping the two factors.  The
-restriction of parts to singletons and A1 pairs, and the square-mass
-and second-moment cuts in the A1-pair search, are structural facts
-recorded in the docs and independently defended by a prune-free oracle
-in the test suite at small bounds.
+exhaustive, and each simple type and the A1 pair are searched once per
+run.  A1's parts are in closed form (symmetric powers and adjacent
+pairs; the tests confirm them with the box detector).  Over the other
+types the disjoint-support sums of multiplicity-free irreducibles whose
+highest weights are closed under duality go to the detector.  Over an
+A1 pair the candidates come from the box: `_a1_pair_parts` proves that
+an unsplittable part's support is a diamond, one per side length, and
+peels each diamond into summands.  The restriction of parts to
+singletons and A1 pairs is a structural fact recorded in the docs and
+independently defended by a prune-free oracle in the test suite at
+small bounds.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords)
 from .charcalc import (FormalCharacter, RepSpec, character_of, dual_weight,
-                       is_faithful, is_multiplicity_free, restrict_to_factors,
-                       weight_count, weight_support, weyl_dimension)
+                       is_faithful, restrict_to_factors, weight_count,
+                       weight_support, weyl_dimension)
 from .rectkit import (detect_rectangular, detect_rectangular_points,
                       from_character, lengths, transform,
                       with_ambient_padding)
@@ -264,20 +265,24 @@ def decompose(spec: RepSpec) -> Decomposition:
     against detection in the tests), and a tensor of boxes is a box
     with the joined lengths, `Decomposition.lengths`.
 
-    Characters are built only to explain a failure: a summand of
-    multiplicity above 1, or a factor in no matched part.  The O(N)
-    multiplicity and symmetry tests, then the box detector, tell a
-    non-box input (`NotRectangularError`) from a gap in the catalogue
+    A summand of multiplicity above 1 is a repeated weight, so it is
+    rejected as "multiplicity" with no character.  A character is built
+    only to explain a factor in no matched part: the O(N) multiplicity
+    and symmetry tests, then the box detector, tell a non-box input
+    (`NotRectangularError`) from a gap in the catalogue
     (`CatalogueMismatchError`).
     """
     if not is_faithful(spec):
         raise NotFaithfulError(f"some factor of {spec.algebra.label} acts trivially")
-    # the highest weights as a multiset, to project onto blocks
+    # a repeated summand repeats its highest weight in the character
+    if any(m > 1 for _, m in spec.summands):
+        raise NotRectangularError("multiplicity")
+    # the highest weights, to project onto blocks
     highest = FormalCharacter(spec.algebra, dict(spec.summands))
     factors = range(len(spec.algebra.factors))
     parts: list[tuple[tuple[int, ...], CatalogueItem]] = []
     taken: set[int] = set()
-    for size in (1, 2) if is_multiplicity_free(highest) else ():
+    for size in (1, 2):
         for positions in combinations(factors, size):
             if not taken.isdisjoint(positions):
                 continue
@@ -502,150 +507,60 @@ def _single_factor_parts(t: SimpleType, budget: int):
     return tuple(out)
 
 
-_CANON, _TIED = "canonical", "tied"
-
-
-def _transpose_step(state, r1, r2):
-    """Compare an A1-pair choice P with its transpose P^T as (r1, r2)
-    joins P, the summands taken by class (0, 0), (0, 1), (1, 0), (1, 1).
-
-    Returns _CANON once P < P^T, _TIED while the two agree so far, the
-    summand of class (0, 1) while it waits for the one of class (1, 0)
-    (its counterpart in P^T), or None once P > P^T.  The order is the
-    one `_a1_pair_parts` states: (a, b, c, d) against (a^T, c^T, b^T,
-    d^T), a missing summand the largest.
-    """
-    if state == _CANON:
-        return _CANON
-    p = (r1 & 1, r2 & 1)
-    if p == (0, 1):
-        return (r1, r2)
-    if p == (1, 0):
-        if state == _TIED:
-            return None
-        flip = (r2, r1)
-        return _CANON if state < flip else _TIED if state == flip else None
-    if state != _TIED:
-        return _CANON
-    return _CANON if r1 < r2 else _TIED if r1 == r2 else None
-
-
 @lru_cache(maxsize=None)
 def _a1_pair_parts(budget: int):
     """Exhaustive unsplittable rectangular parts over an A1 pair.
 
-    Summands are Sym^r1 x Sym^r2; two summands have disjoint support iff
-    they differ in parity somewhere, so a part holds at most one summand
-    per parity class of (r1, r2), and its support has exactly as many
-    points as its dimension.  One walk takes the four classes in order,
-    skipping any, and at every node closes a part with one summand from
-    a later class.  The detector confirms every emitted part.  Before
-    it, each cut below rests on its stated reason:
+    Summands are Sym^r1 x Sym^r2, whose support is the class grid of
+    points (x1, x2) with |x1| <= r1, |x2| <= r2 and x1 = r1, x2 = r2
+    (mod 2).  The candidates come from the box, not from subsets:
 
-    - Square mass.  An unsplittable rectangular part has square mass l*l
-      with equal lengths (recorded in the docs, defended by the
-      prune-free oracle in the tests), so the closing summand is a lookup
-      of the dimension that completes a square.
-    - Column and row bound.  Columns of the support at fixed x1 are level
-      sets of an integer linear functional on the l x l grid box, so none
-      holds more than l points; each class adds r2 + 1 points to the
-      column at x1 = 0 or 1.  So every degree is below
-      lmax = isqrt(budget), and the walk keeps both column sums (and the
-      row sums, axes swapped) at most lmax before the closing summand.
-    - Second moment, tested as the part closes.  The part is the centred
-      box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}} with
-      integer edges e1, e2; the cross terms vanish, so
-      sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T).  A class grid
-      Sym^r1 x Sym^r2 has 12 sum x1^2 = 4 (r2 + 1) r1 (r1 + 1)(r1 + 2),
-      which the walk adds up, so l^2 (l^2 - 1) must divide the sum, and
-      likewise with the axes swapped.
-    - Splitting.  Choices forming a grid {parities} x {parities} with
-      per-axis degrees are exactly the ones that split as products of
-      single-factor parts; the finer partition enumerates them.  This
-      also drops every unfaithful choice: if all r1 are 0, the part is
-      {(0, a), (0, b)} with a, b of different parity, a grid.
-    - Transposition.  Swapping the axes maps (r1, r2) to (r2, r1), fixes
-      classes (0, 0) and (1, 1), swaps (0, 1) with (1, 0), and maps each
-      part to a part with the same lengths.  So the walk takes only
-      transpose-canonical choices (`_transpose_step`): with P's summands
-      listed by class (a, b, c, d), a missing one counted as the
-      largest, P is canonical when (a, b, c, d) <= (a^T, c^T, b^T, d^T).
-      Each accepted part is emitted with its transpose.
+    - Each summand's support is stable under the two sign flips, the
+      Weyl group of A1 x A1, and so is a part's.  A box stable under
+      their product, -1, is centred, and each flip maps it onto itself,
+      so it permutes the box's sides {+-e1, +-e2}.
+    - Either both edges lie on the axes, and then the support is a grid
+      A x B: each parity class of it is one class grid, so the part is
+      a product of single-factor parts, or it is unfaithful.  Or a flip
+      swaps the two sides: they have one length l and the edges are
+      (p, q) and (p, -q), with p, q > 0.
+    - Take the largest point (hp, 0) on the row x2 = 0, where h = l - 1.
+      The class grid holding it also holds (hp - 2, 0), and the row's
+      points are spaced 2p apart, so that point is on the row only if
+      p = 1.  The column x1 = 0 forces q = 1 in the same way.
+    - So for each l from 2 to isqrt(budget) there is one candidate, the
+      diamond |x1| + |x2| <= l - 1 with x1 + x2 = l - 1 (mod 2).
+
+    Each diamond is peeled: its point with the largest x1 + x2 is the
+    top (r1, r2) of the class grid holding it, that grid is removed, and
+    the diamond fails as soon as a grid is not contained in what is
+    left.  So a diamond splits into at most one set of summands.  A
+    diamond of side l >= 2 is no grid and meets both axes off the
+    origin, so its part neither splits nor is unfaithful; the detector
+    confirms each part that survives and gives its lengths.  A diamond
+    is its own transpose, and so is its part.
 
     Returns (summands, dim, lengths) tuples like `_single_factor_parts`.
     """
-    lmax = isqrt(budget)
-    if lmax < 2:
-        return ()
-    squares = [(l * l, l * l * (l * l - 1)) for l in range(2, lmax + 1)]
-    top = squares[-1][0]
-    classes = []
-    for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        # (dim, r1, r2, 12 sum x1^2, 12 sum x2^2) of each class grid
-        items = sorted(((r1 + 1) * (r2 + 1), r1, r2,
-                        4 * (r2 + 1) * r1 * (r1 + 1) * (r1 + 2),
-                        4 * (r1 + 1) * r2 * (r2 + 1) * (r2 + 2))
-                       for r1 in range(p1, lmax, 2)
-                       for r2 in range(p2, lmax, 2)
-                       if (r1 + 1) * (r2 + 1) <= budget)
-        classes.append(items)
-    # closers[c][dim]: the summands of classes after c that complete a
-    # square from a node of dimension dim
-    closers = [[[] for _ in range(top)] for _ in range(3)]
-    for c in range(3):
-        for items in classes[c + 1:]:
-            for item in items:
-                for sq, modulus in squares:
-                    if 0 < sq - item[0] < top:
-                        closers[c][sq - item[0]].append((sq, modulus, item))
     out = []
-
-    def leaf(chosen, mass, state):
-        p1s = {r1 % 2 for r1, _ in chosen}
-        p2s = {r2 % 2 for _, r2 in chosen}
-        if len(chosen) == len(p1s) * len(p2s):
-            by_p1 = {r1 % 2: r1 for r1, _ in chosen}
-            by_p2 = {r2 % 2: r2 for _, r2 in chosen}
-            if all(by_p1[r1 % 2] == r1 and by_p2[r2 % 2] == r2
-                   for r1, r2 in chosen):
-                return
-        support = {(a, b) for r1, r2 in chosen
-                   for a in range(-r1, r1 + 1, 2)
-                   for b in range(-r2, r2 + 1, 2)}
-        cert = detect_rectangular_points(support, 2)
-        if cert is not None:
-            ls = lengths(with_ambient_padding(cert, 2))
-            out.append((tuple(sorted(chosen)), mass, ls))
-            if state != _TIED:
-                out.append((tuple(sorted((r2, r1) for r1, r2 in chosen)),
-                            mass, ls))
-
-    def walk(start, chosen, dim, col, row, m1, m2, state):
-        # the last class can only close a part, so the walk stops before it
-        for c in range(start, 3):
-            for d, r1, r2, t1, t2 in classes[c]:
-                if dim + d >= top:
-                    break
-                if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
-                    continue
-                nstate = _transpose_step(state, r1, r2)
-                if nstate is None:
-                    continue
-                node = chosen + [(r1, r2)]
-                ndim, nm1, nm2 = dim + d, m1 + t1, m2 + t2
-                for sq, modulus, (_, s1, s2, u1, u2) in closers[c][ndim]:
-                    if not ((nm1 + u1) % modulus or (nm2 + u2) % modulus):
-                        lstate = _transpose_step(nstate, s1, s2)
-                        if lstate is not None:
-                            leaf(node + [(s1, s2)], sq, lstate)
-                ncol = list(col)
-                nrow = list(row)
-                ncol[r1 & 1] += r2 + 1
-                nrow[r2 & 1] += r1 + 1
-                walk(c + 1, node, ndim, ncol, nrow, nm1, nm2, nstate)
-
-    walk(0, [], 0, [0, 0], [0, 0], 0, 0, _TIED)
-    out.sort(key=lambda x: (x[1], x[0]))
+    for l in range(2, isqrt(budget) + 1):
+        h = l - 1
+        diamond = {(a, b) for a in range(-h, h + 1)
+                   for b in range(abs(a) - h, h - abs(a) + 1, 2)}
+        left, summands = set(diamond), []
+        while left:
+            r1, r2 = max(left, key=sum)
+            grid = {(a, b) for a in range(-r1, r1 + 1, 2)
+                    for b in range(-r2, r2 + 1, 2)}
+            if not grid <= left:
+                break
+            left -= grid
+            summands.append((r1, r2))
+        else:
+            cert = detect_rectangular_points(diamond, 2)
+            if cert is not None:
+                out.append((tuple(sorted(summands)), l * l,
+                            lengths(with_ambient_padding(cert, 2))))
     return tuple(out)
 
 
@@ -728,29 +643,43 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
     is reached once, and a second leaf landing on an already found spec
     raises AssertionError: it would be a second decomposition, or a pair
     candidate P whose transpose is another candidate.  The only pair
-    candidate within the bounds, D2Spin, is its own transpose.
+    candidate at any budget, D2Spin, is its own transpose
+    (`_a1_pair_parts`).
+
+    Each class is searched once, at the most room any of its parts gets
+    over the pool.  The search is exhaustive and sorted by dimension, so
+    the search at a smaller room r is the prefix with dim <= r, and the
+    dimension bound in the assembly stops each part there.
     """
-    algebras = _algebra_pool(max_rank, max_dim, algebras)
+    algebras = [a for a in _algebra_pool(max_rank, max_dim, algebras)
+                if 2 ** len(a.factors) <= max_dim]
+    # each other factor takes at least dimension 2, so a part of j factors
+    # in an algebra of k has room max_dim // 2 ** (k - j); each class (a
+    # simple type, or None for an A1 pair) is searched once, at the most
+    # room any of its parts gets
+    room: dict = {}
+    for algebra in algebras:
+        k = len(algebra.factors)
+        for t in algebra.factors:
+            room[t] = max(room.get(t, 0), max_dim // 2 ** (k - 1))
+        if sum(t.label == "A1" for t in algebra.factors) >= 2:
+            room[None] = max(room.get(None, 0), max_dim // 2 ** (k - 2))
+    searched = {c: _a1_pair_parts(r) if c is None
+                else _single_factor_parts(c, r) for c, r in room.items()}
     results: dict = {}
     for algebra in algebras:
         k = len(algebra.factors)
-        if 2 ** k > max_dim:
-            continue
         a1 = [i for i, t in enumerate(algebra.factors) if t.label == "A1"]
         for p in range(len(a1) // 2 + 1):
             paired = a1[:2 * p]
             parts = sorted([(i,) for i in range(k) if i not in paired]
                            + list(zip(paired[::2], paired[1::2])))
-            # each other factor takes at least dimension 2
-            room = [max_dim // 2 ** (k - len(part)) for part in parts]
             rest = [2 ** sum(map(len, parts[i + 1:]))
                     for i in range(len(parts))]
-            part_cands = [_single_factor_parts(algebra.factors[part[0]], r)
-                          if len(part) == 1 else _a1_pair_parts(r)
-                          for part, r in zip(parts, room)]
-            # the previous part of the same class, whose index is a floor
             cls = [algebra.factors[part[0]] if len(part) == 1 else None
                    for part in parts]
+            part_cands = [searched[c] for c in cls]
+            # the previous part of the same class, whose index is a floor
             floor = [max((j for j in range(i) if cls[j] == cls[i]),
                          default=None) for i in range(len(parts))]
             # the factors in part order; the canonical form does not
@@ -774,6 +703,8 @@ def enumerate_rectangular(max_rank: int, max_dim: int, algebras=None
                 cands = part_cands[pi]
                 start = 0 if floor[pi] is None else chosen[floor[pi]]
                 for c in range(start, len(cands)):
+                    # dim * rest counts at least 2 per other factor, so
+                    # this stops at the part's own room
                     if dim * cands[c][1] * rest[pi] > max_dim:
                         break
                     assemble(pi + 1, chosen + [c], dim * cands[c][1])

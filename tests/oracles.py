@@ -7,7 +7,8 @@ symmetry groups are counted by exhausting integer matrices.  The
 quadratic box detector the library used before its greedy lex pass, and
 the Freudenthal recursion and Weyl formula in `Fraction` arithmetic the
 library used before its integer-scaled ones, the A1-pair part search
-before its second-moment cut, and the enumerator's assembly over every
+before its second-moment cut, the A1-pair walk over subsets of summands
+before the box generator, and the enumerator's assembly over every
 A1 pairing and every ordering of equal parts before orderly assembly,
 `decompose` as it was when the box detector decided rectangularity
 and characters the split, the multiplicity-free scan as it was when
@@ -503,6 +504,153 @@ def a1_pair_parts_without_moment_cut(budget: int):
                     walk(i + 1, chosen + [(r1, r2)], dim + d, ncol, nrow)
 
             walk(0, [], 0, [0, 0], [0, 0])
+    out.sort(key=lambda x: (x[1], x[0]))
+    return tuple(out)
+
+
+CANON, TIED = "canonical", "tied"
+
+
+def transpose_step(state, r1, r2):
+    """Compare an A1-pair choice P with its transpose P^T as (r1, r2)
+    joins P, the summands taken by class (0, 0), (0, 1), (1, 0), (1, 1).
+
+    Returns CANON once P < P^T, TIED while the two agree so far, the
+    summand of class (0, 1) while it waits for the one of class (1, 0)
+    (its counterpart in P^T), or None once P > P^T.  The order is the
+    one `a1_pair_parts_walk` states: (a, b, c, d) against (a^T, c^T, b^T,
+    d^T), a missing summand the largest.
+    """
+    if state == CANON:
+        return CANON
+    p = (r1 & 1, r2 & 1)
+    if p == (0, 1):
+        return (r1, r2)
+    if p == (1, 0):
+        if state == TIED:
+            return None
+        flip = (r2, r1)
+        return CANON if state < flip else TIED if state == flip else None
+    if state != TIED:
+        return CANON
+    return CANON if r1 < r2 else TIED if r1 == r2 else None
+
+
+def a1_pair_parts_walk(budget: int):
+    """`classify._a1_pair_parts` as it was before the box generator: a
+    walk over subsets of summands.  Same contract.
+
+    Summands are Sym^r1 x Sym^r2; two summands have disjoint support iff
+    they differ in parity somewhere, so a part holds at most one summand
+    per parity class of (r1, r2), and its support has exactly as many
+    points as its dimension.  One walk takes the four classes in order,
+    skipping any, and at every node closes a part with one summand from
+    a later class.  The detector confirms every emitted part.  Before
+    it, each cut below rests on its stated reason:
+
+    - Square mass.  An unsplittable rectangular part has square mass l*l
+      with equal lengths (recorded in the docs, defended by the
+      prune-free oracle in the tests), so the closing summand is a lookup
+      of the dimension that completes a square.
+    - Column and row bound.  Columns of the support at fixed x1 are level
+      sets of an integer linear functional on the l x l grid box, so none
+      holds more than l points; each class adds r2 + 1 points to the
+      column at x1 = 0 or 1.  So every degree is below
+      lmax = isqrt(budget), and the walk keeps both column sums (and the
+      row sums, axes swapped) at most lmax before the closing summand.
+    - Second moment, tested as the part closes.  The part is the centred
+      box {s_a e1 + s_b e2 : s_a, s_b in {-(l-1)/2, ..., (l-1)/2}} with
+      integer edges e1, e2; the cross terms vanish, so
+      sum x x^T = l^2 (l^2 - 1)/12 (e1 e1^T + e2 e2^T).  A class grid
+      Sym^r1 x Sym^r2 has 12 sum x1^2 = 4 (r2 + 1) r1 (r1 + 1)(r1 + 2),
+      which the walk adds up, so l^2 (l^2 - 1) must divide the sum, and
+      likewise with the axes swapped.
+    - Splitting.  Choices forming a grid {parities} x {parities} with
+      per-axis degrees are exactly the ones that split as products of
+      single-factor parts; the finer partition enumerates them.  This
+      also drops every unfaithful choice: if all r1 are 0, the part is
+      {(0, a), (0, b)} with a, b of different parity, a grid.
+    - Transposition.  Swapping the axes maps (r1, r2) to (r2, r1), fixes
+      classes (0, 0) and (1, 1), swaps (0, 1) with (1, 0), and maps each
+      part to a part with the same lengths.  So the walk takes only
+      transpose-canonical choices (`transpose_step`): with P's summands
+      listed by class (a, b, c, d), a missing one counted as the
+      largest, P is canonical when (a, b, c, d) <= (a^T, c^T, b^T, d^T).
+      Each accepted part is emitted with its transpose.
+
+    Returns (summands, dim, lengths) tuples like `classify._single_factor_parts`.
+    """
+    lmax = isqrt(budget)
+    if lmax < 2:
+        return ()
+    squares = [(l * l, l * l * (l * l - 1)) for l in range(2, lmax + 1)]
+    top = squares[-1][0]
+    classes = []
+    for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # (dim, r1, r2, 12 sum x1^2, 12 sum x2^2) of each class grid
+        items = sorted(((r1 + 1) * (r2 + 1), r1, r2,
+                        4 * (r2 + 1) * r1 * (r1 + 1) * (r1 + 2),
+                        4 * (r1 + 1) * r2 * (r2 + 1) * (r2 + 2))
+                       for r1 in range(p1, lmax, 2)
+                       for r2 in range(p2, lmax, 2)
+                       if (r1 + 1) * (r2 + 1) <= budget)
+        classes.append(items)
+    # closers[c][dim]: the summands of classes after c that complete a
+    # square from a node of dimension dim
+    closers = [[[] for _ in range(top)] for _ in range(3)]
+    for c in range(3):
+        for items in classes[c + 1:]:
+            for item in items:
+                for sq, modulus in squares:
+                    if 0 < sq - item[0] < top:
+                        closers[c][sq - item[0]].append((sq, modulus, item))
+    out = []
+
+    def leaf(chosen, mass, state):
+        p1s = {r1 % 2 for r1, _ in chosen}
+        p2s = {r2 % 2 for _, r2 in chosen}
+        if len(chosen) == len(p1s) * len(p2s):
+            by_p1 = {r1 % 2: r1 for r1, _ in chosen}
+            by_p2 = {r2 % 2: r2 for _, r2 in chosen}
+            if all(by_p1[r1 % 2] == r1 and by_p2[r2 % 2] == r2
+                   for r1, r2 in chosen):
+                return
+        support = {(a, b) for r1, r2 in chosen
+                   for a in range(-r1, r1 + 1, 2)
+                   for b in range(-r2, r2 + 1, 2)}
+        cert = detect_rectangular_points(support, 2)
+        if cert is not None:
+            ls = lengths(with_ambient_padding(cert, 2))
+            out.append((tuple(sorted(chosen)), mass, ls))
+            if state != TIED:
+                out.append((tuple(sorted((r2, r1) for r1, r2 in chosen)),
+                            mass, ls))
+
+    def walk(start, chosen, dim, col, row, m1, m2, state):
+        # the last class can only close a part, so the walk stops before it
+        for c in range(start, 3):
+            for d, r1, r2, t1, t2 in classes[c]:
+                if dim + d >= top:
+                    break
+                if col[r1 & 1] + r2 + 1 > lmax or row[r2 & 1] + r1 + 1 > lmax:
+                    continue
+                nstate = transpose_step(state, r1, r2)
+                if nstate is None:
+                    continue
+                node = chosen + [(r1, r2)]
+                ndim, nm1, nm2 = dim + d, m1 + t1, m2 + t2
+                for sq, modulus, (_, s1, s2, u1, u2) in closers[c][ndim]:
+                    if not ((nm1 + u1) % modulus or (nm2 + u2) % modulus):
+                        lstate = transpose_step(nstate, s1, s2)
+                        if lstate is not None:
+                            leaf(node + [(s1, s2)], sq, lstate)
+                ncol = list(col)
+                nrow = list(row)
+                ncol[r1 & 1] += r2 + 1
+                nrow[r2 & 1] += r1 + 1
+                walk(c + 1, node, ndim, ncol, nrow, nm1, nm2, nstate)
+
+    walk(0, [], 0, [0, 0], [0, 0], 0, 0, TIED)
     out.sort(key=lambda x: (x[1], x[0]))
     return tuple(out)
 

@@ -19,15 +19,15 @@ from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
                      with_ambient_padding)
 from rectrep.charcalc import (RepSpec, _dominant_weights, _simple_character,
                               weight_count)
-from rectrep.classify import (_TIED, _a1_pair_parts,
-                              _dominant_weights_up_to_dim, _irrep_data,
-                              _primitive_normal, _shuffle_factors,
-                              _simple_types_up_to, _single_factor_parts,
-                              _transpose_step)
+from rectrep.classify import (_a1_pair_parts, _dominant_weights_up_to_dim,
+                              _irrep_data, _primitive_normal,
+                              _shuffle_factors, _simple_types_up_to,
+                              _single_factor_parts)
 from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
-from oracles import (a1_pair_parts_without_moment_cut,
+from oracles import (TIED, a1_pair_parts_walk,
+                     a1_pair_parts_without_moment_cut,
                      canonical_form_bruteforce, decompose_detector_first,
                      decompose_outcome, dominant_weights_box,
                      dominant_weights_up_to_dim_box,
@@ -36,7 +36,7 @@ from oracles import (a1_pair_parts_without_moment_cut,
                      multiplicity_free_irreps_freudenthal,
                      prune_free_rectangular, random_specs,
                      random_symmetric_sets, symmetric_sets,
-                     tensor_summands)
+                     tensor_summands, transpose_step)
 
 
 def spec_of(label, summands):
@@ -172,6 +172,16 @@ def test_decompose_builds_no_character_on_success():
         dec = decompose(spec_of(label, summands))
         assert [(p, item.label) for p, item in dec.parts] == parts
         assert dec.lengths == ls
+    assert _simple_character.cache_info().misses == 0
+
+
+def test_decompose_rejects_a_repeated_summand_without_a_character():
+    # the multiplicity is read off the summands: Sym^2000 twice has a
+    # 2001-weight character that decompose need not build
+    _simple_character.cache_clear()
+    with pytest.raises(NotRectangularError) as e:
+        decompose(spec_of("A1", [((2000,), 2)]))
+    assert e.value.reason == "multiplicity"
     assert _simple_character.cache_info().misses == 0
 
 
@@ -356,6 +366,25 @@ def test_multiplicity_free_scan_and_single_factor_search_build_no_character():
     assert _simple_character.cache_info().misses == 0
 
 
+def test_enumeration_searches_each_part_class_once():
+    # a cold run searches each simple type, and the A1 pair, at one budget
+    for cached in (_single_factor_parts, _a1_pair_parts):
+        cached.cache_clear()
+    enumerate_rectangular(4, 128)
+    assert (_single_factor_parts.cache_info().misses
+            == len(_simple_types_up_to(4)))
+    assert _a1_pair_parts.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("t", _simple_types_up_to(4), ids=lambda t: t.label)
+def test_single_factor_parts_at_a_budget_are_a_prefix(t):
+    # what lets enumeration search each type once, at its largest budget
+    parts = _single_factor_parts(t, 128)
+    for budget in range(1, 129):
+        assert (tuple(p for p in parts if p[1] <= budget)
+                == _single_factor_parts.__wrapped__(t, budget))
+
+
 def test_enumerate_bounds_are_enforced():
     with pytest.raises(ValueError):
         enumerate_rectangular(5, 64)
@@ -404,6 +433,12 @@ def test_a1_pair_parts_match_search_without_moment_cut(budget):
     assert _a1_pair_parts(budget) == a1_pair_parts_without_moment_cut(budget)
 
 
+def test_a1_pair_box_generator_matches_the_walk():
+    # the diamonds peeled, against the walk over subsets of summands
+    for budget in range(1, 257):
+        assert _a1_pair_parts.__wrapped__(budget) == a1_pair_parts_walk(budget)
+
+
 def test_transpose_step_keeps_one_of_each_transposed_pair():
     # every choice of at most one summand per parity class, degrees < 4:
     # of P and its transpose exactly one passes, and P alone when P = P^T
@@ -412,19 +447,19 @@ def test_transpose_step_keeps_one_of_each_transposed_pair():
     passed = {}
     for choice in product(*([None] + c for c in classes)):
         part = tuple(x for x in choice if x is not None)
-        state = _TIED
+        state = TIED
         for r1, r2 in part:
             if state is not None:
-                state = _transpose_step(state, r1, r2)
+                state = transpose_step(state, r1, r2)
         passed[tuple(sorted(part))] = state
     assert len(passed) == 5 ** 4
     for part, state in passed.items():
         flipped = tuple(sorted((r2, r1) for r1, r2 in part))
         if flipped == part:
-            assert state == _TIED, part
+            assert state == TIED, part
         else:
             assert (state is None) != (passed[flipped] is None), part
-            assert state != _TIED, part
+            assert state != TIED, part
 
 
 def _permissive_detector(points, dim):
@@ -449,11 +484,9 @@ def test_a1_pair_walk_emits_each_leaf_once_with_its_transpose(monkeypatch,
     # D2Spin, its own transpose, is the only real part at these budgets;
     # with a detector that accepts more leaves, the transpose-halved
     # walk must still give exactly the unhalved oracle's parts
-    monkeypatch.setattr("rectrep.classify.detect_rectangular_points",
-                        _permissive_detector)
     monkeypatch.setattr("oracles.detect_rectangular_points",
                         _permissive_detector)
-    parts = _a1_pair_parts.__wrapped__(budget)
+    parts = a1_pair_parts_walk(budget)
     assert parts == a1_pair_parts_without_moment_cut(budget)
     flipped = [s for s, _, _ in parts
                if s != tuple(sorted((r2, r1) for r1, r2 in s))]
@@ -462,8 +495,8 @@ def test_a1_pair_walk_emits_each_leaf_once_with_its_transpose(monkeypatch,
 
 def test_box_second_moment_lemma():
     # 12 sum x x^T = N sum_i (l_i^2 - 1) e_i e_i^T over each accepted box
-    # with edges e_i, lengths l_i and N points: the cut in _a1_pair_parts
-    # is the equal-length case on both diagonal entries
+    # with edges e_i, lengths l_i and N points: the cut in
+    # a1_pair_parts_walk is the equal-length case on both diagonal entries
     grid, _ = grid_rect_oracle()
     sets = [*symmetric_sets(half=2, max_points=12), *grid,
             *random_symmetric_sets(2, 1000, seed=7)]
