@@ -2,29 +2,31 @@
 """Run the full verification battery and print a one-line-per-check summary.
 
 Covers: enumeration vs. catalogue closure at two desk-scale bounds, the
-sha256 of `rectrep enumerate` stdout at the largest supported bound
-(4, 256) against its pinned value, the orderly enumerator vs. the
-assembly over every A1 pairing and ordering at (4, 256), `decompose` vs.
-its detector-first form on every spec at (4, 256), a forward check of
+sha256 of `rectrep enumerate` stdout at the largest supported bound (4,
+256) against its pinned value, the orderly enumerator vs. the assembly
+over every A1 pairing and ordering at (4, 256), `decompose` vs. its
+detector-first form on every spec at (4, 256), a forward check of
 `decompose` beyond the enumeration bounds (every spec of the catalogue
 closure at (5, 512), and at (6, 1024) with --sweep, must decompose into
 items whose lengths multiply to its dimension and whose highest weights
-tensor back to its summands), the multiplicity-free lists for all
-supported simple types, the root-geometry censuses, and (with --sweep)
-the exhaustive detector comparison on the 7x7 grid, a differential of
-the greedy detector against the old quadratic one on seeded random 3-D
-and 4-D sets, a differential of the integer Freudenthal recursion and
-Weyl formula against their `Fraction` forms, of the weight count and
-orbit-union support against the Freudenthal character, and of the
-root-descent and axis scans of dominant weights against whole-box scans,
-on every dominant weight of dimension <= 512 for the types of rank <= 4,
-the A1-pair box generator against the former walk over subsets of
-summands at budgets 512 and 1024, the closed-form A1 parts against the
-detector at budget 1024, the refined `canonical_form` against the
-minimum over every permutation on each spec at (4, 256), enumerated and
-from the closure, with its factors shuffled, and the enumerator against
-the prune-free subset search on each simple type of rank <= 4 at
-dimension 256. Exits nonzero if any check fails.
+tensor back to its summands), the refined `canonical_form` against the
+minimum over every permutation on the same closure specs with their
+factors shuffled, the multiplicity-free lists for all supported simple
+types, the root-geometry censuses, and (with --sweep) the exhaustive
+detector comparison on the 7x7 grid, a differential of the greedy
+detector against the old quadratic one on seeded random 3-D, 4-D and 5-D
+sets (5 000 each) and 6-D sets (2 000), a differential of the integer
+Freudenthal recursion and Weyl formula against their `Fraction` forms,
+of the weight count and orbit-union support against the Freudenthal
+character, and of the root-descent and axis scans of dominant weights
+against whole-box scans, on every dominant weight of dimension <= 512
+for the types of rank <= 4, the A1-pair box generator against the former
+walk over subsets of summands at budgets 512 and 1024, the closed-form
+A1 parts against the detector at budget 1024, the refined
+`canonical_form` against the minimum over every permutation on each spec
+at (4, 256), enumerated and from the closure, with its factors shuffled,
+and the enumerator against the prune-free subset search on each simple
+type of rank <= 4 at dimension 256. Exits nonzero if any check fails.
 """
 
 import argparse
@@ -39,12 +41,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rectrep import (Decomposition, SimpleType, catalogue_closure,
-                     decompose, enumerate_rectangular, long_roots_3space_census,
-                     roots_in_plane_census, verify_classification,
-                     verify_howe)
-from oracles import (decompose_detector_first, decompose_outcome,
-                     enumerate_rectangular_all_orderings, tensor_summands)
+from rectrep import (Decomposition, SimpleType, canonical_form,
+                     catalogue_closure, decompose, enumerate_rectangular,
+                     long_roots_3space_census, roots_in_plane_census,
+                     verify_classification, verify_howe)
+from rectrep.classify import _shuffle_factors
+from oracles import (canonical_form_bruteforce, decompose_detector_first,
+                     decompose_outcome, enumerate_rectangular_all_orderings,
+                     tensor_summands)
 
 # sha256 of `rectrep enumerate --max-rank 4 --max-dim 256` stdout (3 307
 # specs); a change that moves these bytes changes the enumerate output format
@@ -61,6 +65,18 @@ def check(name, ok, detail=""):
     return ok
 
 
+def canonical_form_disagreements(specs, seed: int) -> int:
+    """How many canonical (algebra, spec) pairs, each with its factors in
+    a seeded random order, the refined `canonical_form` or the minimum
+    over every permutation fails to bring back."""
+    bad = 0
+    for i, (alg, spec) in enumerate(specs):
+        shuffled = _shuffle_factors(alg, spec, seed + i)
+        bad += not (canonical_form(*shuffled) == (alg, spec)
+                    == canonical_form_bruteforce(*shuffled))
+    return bad
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-rank", type=int, default=3)
@@ -68,7 +84,8 @@ def main() -> int:
     ap.add_argument("--howe-dim", type=int, default=512)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--sweep", action="store_true",
-                    help="also run the (6,1024) decompose forward check, "
+                    help="also run the (6,1024) decompose forward and "
+                         "canonical-form checks, "
                          "the exhaustive 7x7-grid detector sweep, "
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
@@ -131,6 +148,13 @@ def main() -> int:
                         f"specs={len(closure)} disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 
+        t = time.monotonic()
+        bad = canonical_form_disagreements(closure, args.seed)
+        all_ok &= check(f"refined vs brute-force canonical form of the "
+                        f"catalogue closure rank<={rank} dim<={dim}", bad == 0,
+                        f"specs={len(closure)} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
     for label in HOWE_TYPES:
         rep = verify_howe(SimpleType.parse(label), args.howe_dim)
         all_ok &= check(f"multiplicity-free list {label}", rep["ok"],
@@ -171,8 +195,8 @@ def main() -> int:
         t = time.monotonic()
         bad = 0
         n_sets = 0
-        for dim in (3, 4):
-            for s in random_symmetric_sets(dim, 5000, seed=args.seed + dim):
+        for dim, count in ((3, 5000), (4, 5000), (5, 5000), (6, 2000)):
+            for s in random_symmetric_sets(dim, count, seed=args.seed + dim):
                 n_sets += 1
                 if (detect_rectangular_points(s, dim)
                         != detect_rectangular_points_quadratic(s, dim)):
@@ -227,10 +251,9 @@ def main() -> int:
                 parts == a1_pair_parts_walk(budget),
                 f"parts={len(parts)} ({time.monotonic() - t:.1f}s)")
 
-        from rectrep import canonical_form, with_ambient_padding
-        from rectrep.classify import (_shuffle_factors, _simple_types_up_to,
-                                      _single_factor_parts)
-        from oracles import canonical_form_bruteforce, prune_free_rectangular
+        from rectrep import with_ambient_padding
+        from rectrep.classify import _simple_types_up_to, _single_factor_parts
+        from oracles import prune_free_rectangular
 
         t = time.monotonic()
         parts = _single_factor_parts(SimpleType.parse("A1"), 1024)
@@ -247,11 +270,7 @@ def main() -> int:
 
         t = time.monotonic()
         specs = [(a, s) for a, s, _ in found] + catalogue_closure(4, 256)
-        bad = 0
-        for i, (alg, spec) in enumerate(specs):
-            shuffled = _shuffle_factors(alg, spec, args.seed + i)
-            bad += not (canonical_form(*shuffled) == (alg, spec)
-                        == canonical_form_bruteforce(*shuffled))
+        bad = canonical_form_disagreements(specs, args.seed)
         all_ok &= check("refined vs brute-force canonical form rank<=4 "
                         "dim<=256", bad == 0,
                         f"specs={len(specs)} disagreements={bad} "

@@ -23,7 +23,7 @@ dominant weights here, per simple family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -197,12 +197,14 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
     return tuple(sorted(known.items()))
 
 
-@dataclass
-class FormalCharacter:
+class FormalCharacter(namedtuple("FormalCharacter", "algebra entries")):
     """A weight multiset: coordinate tuple -> positive multiplicity."""
 
-    algebra: SemisimpleAlgebra
-    entries: dict[IntVector, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, algebra: SemisimpleAlgebra,
+                entries: dict[IntVector, int] | None = None):
+        return tuple.__new__(cls, (algebra, {} if entries is None else entries))
 
     @property
     def mass(self) -> int:
@@ -213,8 +215,7 @@ class FormalCharacter:
         return frozenset(self.entries)
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(namedtuple("RepSpec", "algebra summands")):
     """A finite-dimensional representation as a sum of irreducibles.
 
     Summands are (coords, mult) pairs: a highest weight as a tuple of
@@ -225,16 +226,16 @@ class RepSpec:
     compare equal.
     """
 
-    algebra: SemisimpleAlgebra
-    summands: tuple[tuple[IntVector, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.algebra.rank
+    def __new__(cls, algebra: SemisimpleAlgebra,
+                summands: tuple[tuple[IntVector, int], ...]):
+        n = algebra.rank
         merged: dict[IntVector, int] = {}
-        for coords, mult in self.summands:
+        for coords, mult in summands:
             coords = tuple(coords)
             if len(coords) != n:
-                raise ValueError(f"{self.algebra.label} needs {n} coordinates, "
+                raise ValueError(f"{algebra.label} needs {n} coordinates, "
                                  f"got {len(coords)}")
             if any(not isinstance(c, int) for c in coords):
                 raise ValueError("weight coordinates must be integers")
@@ -243,7 +244,7 @@ class RepSpec:
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             merged[coords] = merged.get(coords, 0) + mult
-        object.__setattr__(self, "summands", tuple(sorted(merged.items())))
+        return tuple.__new__(cls, (algebra, tuple(sorted(merged.items()))))
 
     @property
     def dimension(self) -> int:

@@ -32,8 +32,7 @@ small bounds.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
@@ -74,8 +73,8 @@ def _fw(m: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(m))
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(namedtuple("_Kind", "algebra weights lengths first valid need",
+                       defaults=((), lambda: True, "takes no parameters"))):
     """One catalogue kind; each function takes the item's parameters.
 
     `algebra` is the factor algebra's label, `weights` the summands'
@@ -83,14 +82,10 @@ class _Kind:
     lengths, padded to the rank: the item's dimension is their product
     and its rank their number.  A parameterised kind counts up from
     `first`, every parameter by one; its rank and dimension grow with it.
+    `valid` tests the parameters and `need` says what they must be.
     """
 
-    algebra: Callable[..., str]
-    weights: Callable[..., list]
-    lengths: Callable[..., tuple[int, ...]]
-    first: tuple[int, ...] = ()
-    valid: Callable[..., bool] = lambda: True
-    need: str = "takes no parameters"
+    __slots__ = ()
 
 
 # One record per kind (algebra, weights, lengths, then the parameters), in
@@ -123,20 +118,18 @@ _CATALOGUE = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class CatalogueItem:
-    kind: str
-    params: tuple[int, ...] = ()
+class CatalogueItem(namedtuple("CatalogueItem", "kind params")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, p = self.kind, self.params
-        kind = _CATALOGUE.get(k)
-        if kind is None:
-            raise ValueError(f"unknown catalogue kind {k!r}")
-        if len(p) != len(kind.first) or not kind.valid(*p):
-            raise ValueError(f"{k} {kind.need}")
-        if k == "A1PairSym" and p[0] < p[1]:
-            object.__setattr__(self, "params", (p[1], p[0]))
+    def __new__(cls, kind: str, params: tuple[int, ...] = ()):
+        entry = _CATALOGUE.get(kind)
+        if entry is None:
+            raise ValueError(f"unknown catalogue kind {kind!r}")
+        if len(params) != len(entry.first) or not entry.valid(*params):
+            raise ValueError(f"{kind} {entry.need}")
+        if kind == "A1PairSym" and params[0] < params[1]:
+            params = (params[1], params[0])
+        return tuple.__new__(cls, (kind, params))
 
     @property
     def label(self) -> str:
@@ -174,15 +167,14 @@ def iter_catalogue_items(max_rank: int, max_dim: int):
         yield CatalogueItem(k, p)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "parts")):
     """External tensor factorization into catalogue items.
 
     Each part is (factor positions, item); positions are zero-based and
     the position sets partition the factors of the input algebra.
     """
 
-    parts: tuple[tuple[tuple[int, ...], CatalogueItem], ...]
+    __slots__ = ()
 
     @property
     def lengths(self) -> tuple[int, ...]:

@@ -241,12 +241,12 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, str) or obj is None:
         return obj
+    if isinstance(obj, CatalogueItem):  # a tuple, so before the sequences
+        return {"kind": obj.kind, "params": [str(p) for p in obj.params]}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, CatalogueItem):
-        return {"kind": obj.kind, "params": [str(p) for p in obj.params]}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

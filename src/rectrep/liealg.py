@@ -15,7 +15,7 @@ f_1, ..., f_(m+1) with f_1 + ... + f_(m+1) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,31 +28,26 @@ _COINCIDENCES = {("B", 1): ("A", 1), ("C", 1): ("A", 1),
                  ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "family rank")):
     """A simple Lie algebra, canonicalized across the low-rank coincidences."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
+    def __new__(cls, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        if (fam, rank) in _COINCIDENCES:
-            fam, rank = _COINCIDENCES[(fam, rank)]
-            object.__setattr__(self, "family", fam)
-            object.__setattr__(self, "rank", rank)
-        if fam == "D" and self.rank == 2:
+        family, rank = _COINCIDENCES.get((family, rank), (family, rank))
+        if family == "D" and rank == 2:
             raise ValueError("D2 is not simple; enter it as A1*A1")
-        if fam == "E" and self.rank not in (6, 7, 8):
+        if family == "E" and rank not in (6, 7, 8):
             raise ValueError("E family exists only in ranks 6, 7, 8")
-        if fam == "F" and self.rank != 4:
+        if family == "F" and rank != 4:
             raise ValueError("F family exists only in rank 4")
-        if fam == "G" and self.rank != 2:
+        if family == "G" and rank != 2:
             raise ValueError("G family exists only in rank 2")
+        return tuple.__new__(cls, (family, rank))
 
     @property
     def label(self) -> str:
@@ -69,16 +64,16 @@ class SimpleType:
         return f"SimpleType({self.label})"
 
 
-@dataclass(frozen=True, order=True)
-class SemisimpleAlgebra:
+class SemisimpleAlgebra(namedtuple("SemisimpleAlgebra", "factors")):
     """An ordered product of simple factors; order indexes weight blocks."""
 
-    factors: tuple[SimpleType, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(cls, factors: tuple[SimpleType, ...]):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("algebra needs at least one simple factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        return tuple.__new__(cls, (factors,))
 
     @property
     def rank(self) -> int:

@@ -37,7 +37,7 @@ any real one does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -45,25 +45,23 @@ from .exactlin import IntVector, mat_vec, rank, vec_sub
 from .charcalc import FormalCharacter
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(namedtuple("WeightMultiset", "dim points")):
     """Integer points with multiplicities, kept sorted."""
 
-    dim: int
-    points: tuple[tuple[IntVector, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple(sorted(self.points))
-        object.__setattr__(self, "points", pts)
+    def __new__(cls, dim: int, points: tuple[tuple[IntVector, int], ...]):
+        points = tuple(sorted(points))
         seen = set()
-        for p, m in pts:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
+        for p, m in points:
+            if len(p) != dim:
+                raise ValueError(f"point {p} does not have dimension {dim}")
             if m < 1:
                 raise ValueError("multiplicities must be positive")
             if p in seen:
                 raise ValueError(f"duplicate point {p}")
             seen.add(p)
+        return tuple.__new__(cls, (dim, points))
 
     @property
     def mass(self) -> int:
@@ -83,8 +81,8 @@ def transform(s: WeightMultiset, matrix) -> WeightMultiset:
     return WeightMultiset(len(matrix), pts)
 
 
-@dataclass(frozen=True)
-class RectCertificate:
+class RectCertificate(namedtuple("RectCertificate",
+                                 "vertex edges degrees padding")):
     """Witness of rectangularity: vertex + edge generators + degrees.
 
     The point set must equal {vertex + sum c_i edges_i : 0 <= c_i <= d_i}
@@ -93,18 +91,17 @@ class RectCertificate:
     a larger ambient space; detection always emits 0 and callers pad.
     """
 
-    vertex: IntVector
-    edges: tuple[IntVector, ...]
-    degrees: tuple[int, ...]
-    padding: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.edges) != len(self.degrees):
+    def __new__(cls, vertex: IntVector, edges: tuple[IntVector, ...],
+                degrees: tuple[int, ...], padding: int = 0):
+        if len(edges) != len(degrees):
             raise ValueError("edges and degrees must align")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be at least 1 (padding covers 0)")
-        if self.padding < 0:
+        if padding < 0:
             raise ValueError("padding must be non-negative")
+        return tuple.__new__(cls, (vertex, edges, degrees, padding))
 
 
 def with_ambient_padding(cert: RectCertificate, ambient_rank: int) -> RectCertificate:

@@ -364,6 +364,19 @@ def test_cli_main_freezes_the_import_time_heap():
     assert second == first
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # importing dataclasses (and with it inspect) and generating each
+    # record's methods cost a cold request ~13 ms; records are namedtuples
+    code = ("import sys\n"
+            "import rectrep.cli\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    with timed(30.0):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_catalogue_table_script_runs_without_an_install(tmp_path):
     # the script finds src/ from its own path, from any working directory
     script = Path(__file__).resolve().parent.parent / "scripts" / "catalogue_table.py"
