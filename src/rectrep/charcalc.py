@@ -23,14 +23,13 @@ dominant weights here, per simple family.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .exactlin import IntVector, mat_vec, rational_rref, vec_dot
 from .liealg import (SemisimpleAlgebra, SimpleType, cartan_matrix,
-                     dominant_conjugate_coords, positive_root_coords,
+                     dominant_conjugate_coords, positive_root_coords, record,
                      symmetrizer, weyl_orbit_coords)
 
 
@@ -197,7 +196,7 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
     return tuple(sorted(known.items()))
 
 
-class FormalCharacter(namedtuple("FormalCharacter", "algebra entries")):
+class FormalCharacter(record("FormalCharacter", "algebra entries")):
     """A weight multiset: coordinate tuple -> positive multiplicity."""
 
     __slots__ = ()
@@ -215,7 +214,7 @@ class FormalCharacter(namedtuple("FormalCharacter", "algebra entries")):
         return frozenset(self.entries)
 
 
-class RepSpec(namedtuple("RepSpec", "algebra summands")):
+class RepSpec(record("RepSpec", "algebra summands")):
     """A finite-dimensional representation as a sum of irreducibles.
 
     Summands are (coords, mult) pairs: a highest weight as a tuple of

@@ -32,7 +32,6 @@ small bounds.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
@@ -40,7 +39,7 @@ from math import gcd, isqrt, prod
 from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
-                     positive_root_coords)
+                     positive_root_coords, record)
 from .charcalc import (FormalCharacter, RepSpec, character_of, dual_weight,
                        is_faithful, restrict_to_factors, weight_count,
                        weight_support, weyl_dimension)
@@ -73,8 +72,8 @@ def _fw(m: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(m))
 
 
-class _Kind(namedtuple("_Kind", "algebra weights lengths first valid need",
-                       defaults=((), lambda: True, "takes no parameters"))):
+class _Kind(record("_Kind", "algebra weights lengths first valid need",
+                   defaults=((), lambda: True, "takes no parameters"))):
     """One catalogue kind; each function takes the item's parameters.
 
     `algebra` is the factor algebra's label, `weights` the summands'
@@ -118,7 +117,7 @@ _CATALOGUE = {
 }
 
 
-class CatalogueItem(namedtuple("CatalogueItem", "kind params")):
+class CatalogueItem(record("CatalogueItem", "kind params")):
     __slots__ = ()
 
     def __new__(cls, kind: str, params: tuple[int, ...] = ()):
@@ -167,7 +166,7 @@ def iter_catalogue_items(max_rank: int, max_dim: int):
         yield CatalogueItem(k, p)
 
 
-class Decomposition(namedtuple("Decomposition", "parts")):
+class Decomposition(record("Decomposition", "parts")):
     """External tensor factorization into catalogue items.
 
     Each part is (factor positions, item); positions are zero-based and

@@ -1,10 +1,10 @@
 """Command-line interface: exact character computation, box detection,
 catalogue decomposition, enumeration, and the verification suites.
 
-Output contract.  Every invocation writes exactly one JSON object to
-stdout with keys in fixed order and every integer rendered as a decimal
-string, so repeated runs are byte-identical.  --pretty adds a human
-summary on stderr.  A failed envelope carries an error code, and
+Output contract.  Every invocation but --help writes exactly one JSON
+object to stdout with keys in fixed order and every integer rendered as
+a decimal string, so repeated runs are byte-identical.  --pretty adds a
+human summary on stderr.  A failed envelope carries an error code, and
 EXIT_CODES, the one table from error code to exit code, gives the exit
 status: 0 success, 2 parse/usage error, 3 domain rejection (unfaithful
 or non-rectangular input, with a diagnostic report), 4 verification
@@ -26,11 +26,12 @@ while D3 (entered as A3) rejects it with a hint.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import re
 import sys
 from math import prod
+from types import SimpleNamespace
 
 from .liealg import SemisimpleAlgebra, SimpleType
 from .charcalc import (AliasError, RepSpec, character_of, dual_weight,
@@ -459,81 +460,132 @@ def _cmd_census(args) -> _Outcome:
 # ---------------------------------------------------------------- driver
 
 class _UsageError(ValueError):
-    """An argparse usage error, raised for `main` to report."""
+    """A command-line usage error, raised for `main` to report."""
 
     def __init__(self, command: str, message: str):
         super().__init__(message)
         self.command = command
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # the parser that rejects names the command: a subcommand's prog
-        # is "rectrep <command>"
-        raise _UsageError(self.prog.split()[-1], message)
+# An option is (flag, type, default, help): an int or str option takes
+# one value, type None makes a switch, and default ... a required option.
+_HELP = ("-h/--help", None, False, "show this help and exit")
+_TOP = {"-h": _HELP, "--help": _HELP}  # the top level's flags; every command's too
+_PRETTY = ("--pretty", None, False, "also print a human summary on stderr")
+_DRY_RUN = ("--dry-run", None, False, "report planned work without running")
+_SPEC = (_PRETTY, ("--algebra", str, ..., "e.g. A1*B3"),
+         ("--rep", str, ..., "e.g. 'sym2*spin' or 'std + dual(std)'"))
+_BOUNDS = (_PRETTY, ("--max-rank", int, 2, "largest total rank"),
+           ("--max-dim", int, 64, "largest dimension"), _DRY_RUN)
+
+# The command table: name -> (function, help, options), in help's order.
+COMMANDS = {
+    "char": (_cmd_char, "weights with multiplicities", _SPEC),
+    "rect": (_cmd_rect, "decide rectangularity, certificate", _SPEC),
+    "decompose": (_cmd_decompose, "factor into catalogue items (faithful input)", _SPEC),
+    "enumerate": (_cmd_enumerate, "all faithful rectangular specs within bounds",
+                  _BOUNDS + (("--algebra", str, None, "only this algebra, e.g. A3"),)),
+    "verify-catalogue": (_cmd_verify_catalogue,
+                         "brute-force enumeration against the catalogue",
+                         _BOUNDS + (("--seed", int, 0, "seed of the spot checks"),)),
+    "verify-howe": (_cmd_verify_howe, "multiplicity-free scan for one simple type",
+                    (_PRETTY, ("--algebra", str, ..., "single factor, e.g. B3"),
+                     ("--max-dim", int, 128, "largest dimension"), _DRY_RUN)),
+    "census": (_cmd_census, "root-geometry censuses for B_n",
+               (_PRETTY, ("--max-rank", int, 4, "largest rank"), _DRY_RUN)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rectrep", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+class _Help(Exception):
+    """Raised with the help text once a parser meets -h or --help."""
 
-    def common(p, rep=False, bounds=False, seed=False):
-        p.add_argument("--pretty", action="store_true",
-                       help="also print a human summary on stderr")
-        if rep:
-            p.add_argument("--algebra", required=True,
-                           help="e.g. A1*B3")
-            p.add_argument("--rep", required=True,
-                           help="e.g. 'sym2*spin' or 'std + dual(std)'")
-        if bounds:
-            p.add_argument("--max-rank", type=int, default=2)
-            p.add_argument("--max-dim", type=int, default=64)
-            p.add_argument("--dry-run", action="store_true",
-                           help="report planned work without running")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("char", help="weights with multiplicities")
-    common(p, rep=True)
-    p.set_defaults(func=_cmd_char)
+def _help(command: str) -> str:
+    """The help text: the commands, or one command's options."""
+    if command == "rectrep":
+        return (f"usage: rectrep <command> [options]\n\n{__doc__}\ncommands:\n"
+                + "".join(f"  {c:<18} {e[1]}\n" for c, e in COMMANDS.items()))
+    _, text, options = COMMANDS[command]
+    return (f"usage: rectrep {command} [options]\n\n{text}\n\noptions:\n"
+            + "".join(f"  {o[0]:<18} {o[3]}\n" for o in (_HELP,) + options))
 
-    p = sub.add_parser("rect", help="decide rectangularity, certificate")
-    common(p, rep=True)
-    p.set_defaults(func=_cmd_rect)
 
-    p = sub.add_parser("decompose",
-                       help="factor into catalogue items (faithful input)")
-    common(p, rep=True)
-    p.set_defaults(func=_cmd_decompose)
+def _read_option(word: str, flags: dict, command: str):
+    """How argparse reads one word against a parser's flags: None for a
+    value or "--", (None, None) for an unknown option, else (flag, the
+    value joined on by '=' or None).  An ambiguous prefix is a usage
+    error."""
+    if not word.startswith("-") or word in ("-", "--"):
+        return None
+    head, eq, tail = word.partition("=")
+    if head in flags:
+        return head, tail if eq else None
+    # -h with more letters joined on, or the unique prefix of a long flag
+    found = [("-h", word[2:])] if word[:2] == "-h" else []
+    if word[1] == "-":
+        found = [(f, tail if eq else None) for f in flags if f.startswith(head)]
+    if len(found) > 1:
+        raise _UsageError(command, f"ambiguous option: {word} could match "
+                          + ", ".join(f for f, _ in found))
+    # unmatched, a negative number or a word with a space is a value
+    if found or re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+        return found[0] if found else None
+    return None, None
 
-    p = sub.add_parser("enumerate",
-                       help="all faithful rectangular specs within bounds")
-    common(p, bounds=True)
-    p.add_argument("--algebra", help="restrict to one algebra, e.g. A3")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify-catalogue",
-                       help="brute-force enumeration against the catalogue")
-    common(p, bounds=True, seed=True)
-    p.set_defaults(func=_cmd_verify_catalogue)
+def _scan(command: str, words: list, options: tuple):
+    """Take a parser's options from words in order, as argparse does: the
+    values, defaults filled in, and the leftover words."""
+    flags = _TOP | {o[0]: o for o in options}
+    end = words.index("--") if "--" in words else len(words)
+    # every word is read before any is taken, so that an ambiguous prefix
+    # is the first error; neither "--" nor the end is a value
+    read = [_read_option(w, flags, command) for w in words[:end]] + [(None, None)]
+    values, extras, i = {o[0]: o[2] for o in options}, [], 0
+    while i < end:
+        (flag, value), i = read[i] or (None, None), i + 1
+        if flag is None:
+            extras.append(words[i - 1])
+            continue
+        name, kind, _, _ = option = flags[flag]
+        if flag == "-h" and value:
+            value = value.lstrip("h") or None  # -hh is -h twice
+        if kind is None and value is not None:
+            raise _UsageError(command, f"argument {name}: ignored explicit "
+                              f"argument {value!r}")
+        if option is _HELP:
+            raise _Help(_help(command))
+        if kind is not None and value is None:
+            if read[i] is not None:
+                raise _UsageError(command, f"argument {name}: expected one argument")
+            value, i = words[i], i + 1
+        try:  # a switch is True; argparse drops a '--' value, leaving []
+            values[name] = kind is None or ([] if value == "--" else kind(value))
+        except ValueError:
+            raise _UsageError(command, f"argument {name}: invalid {kind.__name__} "
+                              f"value: {value!r}") from None
+    if missing := [f for f, v in values.items() if v is ...]:
+        raise _UsageError(command, "the following arguments are required: "
+                          + ", ".join(missing))
+    return {f[2:].replace("-", "_"): v for f, v in values.items()}, extras + words[end:]
 
-    p = sub.add_parser("verify-howe",
-                       help="multiplicity-free scan for one simple type")
-    common(p)
-    p.add_argument("--algebra", required=True, help="single factor, e.g. B3")
-    p.add_argument("--max-dim", type=int, default=128)
-    p.add_argument("--dry-run", action="store_true")
-    p.set_defaults(func=_cmd_verify_howe)
 
-    p = sub.add_parser("census", help="root-geometry censuses for B_n")
-    common(p)
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--dry-run", action="store_true")
-    p.set_defaults(func=_cmd_census)
-
-    return parser
+def _parse(argv: list):
+    """Read a command line by the rules argparse applied to this CLI:
+    (namespace, leftover words).  A usage error raises _UsageError naming
+    the command that rejects it, and -h or --help raises _Help."""
+    # the command is the first word that is not option-like
+    k = next((i for i, w in enumerate(argv)
+              if _read_option(w, _TOP, "rectrep") is None), len(argv))
+    _, head = _scan("rectrep", argv[:k], ())
+    if argv[k:] in ([], ["--"]):
+        raise _UsageError("rectrep", "the following arguments are required: command")
+    if argv[k] not in COMMANDS:
+        raise _UsageError("rectrep", f"argument command: invalid choice: {argv[k]!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+    func, _, options = COMMANDS[argv[k]]
+    values, tail = _scan(argv[k], argv[k + 1:], options)
+    return SimpleNamespace(command=argv[k], func=func, **values), head + tail
 
 
 def main(argv=None) -> int:
@@ -551,23 +603,19 @@ def main(argv=None) -> int:
     if not gc.get_freeze_count():
         gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # until parsing succeeds, --pretty (or a prefix argparse takes for it;
-    # no other option starts with --p) is known only from the raw words
+    # until parsing succeeds, --pretty (or a prefix the parser takes for
+    # it; no other option starts with --p) is known only from the raw words
     command = "rectrep"
     pretty = any(len(a) > 2 and "--pretty".startswith(a) for a in argv)
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = _parse(argv)
         command, pretty = args.command, args.pretty
         if extra:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         result, lines, error = args.func(args)
-    except SystemExit as e:
-        # --help printed its text
-        return int(e.code or 0)
-    except _UsageError as e:
-        command = e.command
-        result, lines, error = None, [str(e)], {"code": "usage",
-                                                "message": str(e)}
+    except _Help as e:
+        sys.stdout.write(str(e))
+        return EXIT_OK
     except ParseError as e:
         result, lines, error = None, [str(e)], {"code": "parse",
                                                 "message": str(e)}
@@ -577,6 +625,7 @@ def main(argv=None) -> int:
         result, lines, error = None, [str(e)], {"code": "internal",
                                                 "message": str(e)}
     except ValueError as e:
+        command = getattr(e, "command", command)  # a _UsageError names it
         result, lines, error = None, [str(e)], {"code": "usage",
                                                 "message": str(e)}
     _emit(_envelope(command, error is None, result, error), lines, pretty)

@@ -28,7 +28,15 @@ _COINCIDENCES = {("B", 1): ("A", 1), ("C", 1): ("A", 1),
                  ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
 
 
-class SimpleType(namedtuple("SimpleType", "family rank")):
+def record(name: str, fields: str, **kwargs):
+    """A namedtuple base for a record class whose `_make`, and with it
+    `_replace`, builds through the subclass's `__new__` and its checks."""
+    base = namedtuple(name, fields, **kwargs)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class SimpleType(record("SimpleType", "family rank")):
     """A simple Lie algebra, canonicalized across the low-rank coincidences."""
 
     __slots__ = ()
@@ -64,7 +72,7 @@ class SimpleType(namedtuple("SimpleType", "family rank")):
         return f"SimpleType({self.label})"
 
 
-class SemisimpleAlgebra(namedtuple("SemisimpleAlgebra", "factors")):
+class SemisimpleAlgebra(record("SemisimpleAlgebra", "factors")):
     """An ordered product of simple factors; order indexes weight blocks."""
 
     __slots__ = ()

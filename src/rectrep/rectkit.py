@@ -37,15 +37,15 @@ any real one does.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product
 from math import prod
 
 from .exactlin import IntVector, mat_vec, rank, vec_sub
+from .liealg import record
 from .charcalc import FormalCharacter
 
 
-class WeightMultiset(namedtuple("WeightMultiset", "dim points")):
+class WeightMultiset(record("WeightMultiset", "dim points")):
     """Integer points with multiplicities, kept sorted."""
 
     __slots__ = ()
@@ -81,8 +81,8 @@ def transform(s: WeightMultiset, matrix) -> WeightMultiset:
     return WeightMultiset(len(matrix), pts)
 
 
-class RectCertificate(namedtuple("RectCertificate",
-                                 "vertex edges degrees padding")):
+class RectCertificate(record("RectCertificate",
+                             "vertex edges degrees padding")):
     """Witness of rectangularity: vertex + edge generators + degrees.
 
     The point set must equal {vertex + sum c_i edges_i : 0 <= c_i <= d_i}

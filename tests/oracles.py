@@ -15,12 +15,14 @@ and characters the split, the multiplicity-free scan as it was when
 it built every Freudenthal character rather than counting weights from
 the dominant ones, `canonical_form` as a minimum over every permutation
 of equal factors, and the dominant-weight scans over whole boxes before
-the root descent and the axis scan, are kept here as the references for
+the root descent and the axis scan, and the CLI's argparse parser
+before its command table, are kept here as the references for
 differential tests.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import isqrt, prod
@@ -35,6 +37,9 @@ from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
                      restrict_to_factors, weyl_dimension,
                      with_ambient_padding)
 from rectrep.charcalc import RepSpec, _cartan_inverse, _gram, _root_data
+from rectrep.cli import (_UsageError, _cmd_census, _cmd_char, _cmd_decompose,
+                         _cmd_enumerate, _cmd_rect, _cmd_verify_catalogue,
+                         _cmd_verify_howe)
 from rectrep.exactlin import (mat_vec, random_unimodular, rank, vec_dot,
                               vec_sub)
 from rectrep.liealg import (SimpleType, cartan_matrix,
@@ -898,3 +903,76 @@ def dominant_weights_up_to_dim_box(t: SimpleType, max_dim: int):
         if dim <= max_dim:
             out.append((coords, dim))
     return tuple(sorted(out))
+
+
+# The command line as argparse read it before the command table: the
+# reference for `cli._parse`.
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # the parser that rejects names the command: a subcommand's prog
+        # is "rectrep <command>"
+        raise _UsageError(self.prog.split()[-1], message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="rectrep", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+
+    def common(p, rep=False, bounds=False, seed=False):
+        p.add_argument("--pretty", action="store_true",
+                       help="also print a human summary on stderr")
+        if rep:
+            p.add_argument("--algebra", required=True,
+                           help="e.g. A1*B3")
+            p.add_argument("--rep", required=True,
+                           help="e.g. 'sym2*spin' or 'std + dual(std)'")
+        if bounds:
+            p.add_argument("--max-rank", type=int, default=2)
+            p.add_argument("--max-dim", type=int, default=64)
+            p.add_argument("--dry-run", action="store_true",
+                           help="report planned work without running")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("char", help="weights with multiplicities")
+    common(p, rep=True)
+    p.set_defaults(func=_cmd_char)
+
+    p = sub.add_parser("rect", help="decide rectangularity, certificate")
+    common(p, rep=True)
+    p.set_defaults(func=_cmd_rect)
+
+    p = sub.add_parser("decompose",
+                       help="factor into catalogue items (faithful input)")
+    common(p, rep=True)
+    p.set_defaults(func=_cmd_decompose)
+
+    p = sub.add_parser("enumerate",
+                       help="all faithful rectangular specs within bounds")
+    common(p, bounds=True)
+    p.add_argument("--algebra", help="restrict to one algebra, e.g. A3")
+    p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("verify-catalogue",
+                       help="brute-force enumeration against the catalogue")
+    common(p, bounds=True, seed=True)
+    p.set_defaults(func=_cmd_verify_catalogue)
+
+    p = sub.add_parser("verify-howe",
+                       help="multiplicity-free scan for one simple type")
+    common(p)
+    p.add_argument("--algebra", required=True, help="single factor, e.g. B3")
+    p.add_argument("--max-dim", type=int, default=128)
+    p.add_argument("--dry-run", action="store_true")
+    p.set_defaults(func=_cmd_verify_howe)
+
+    p = sub.add_parser("census", help="root-geometry censuses for B_n")
+    common(p)
+    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--dry-run", action="store_true")
+    p.set_defaults(func=_cmd_census)
+
+    return parser

@@ -366,15 +366,24 @@ def test_cli_main_freezes_the_import_time_heap():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # importing dataclasses (and with it inspect) and generating each
-    # record's methods cost a cold request ~13 ms; records are namedtuples
+    # record's methods cost a cold request ~13 ms, and importing argparse
+    # (with gettext and locale) and building its parser ~5 ms more; records
+    # are namedtuples and the command line is read from the command table
     code = ("import sys\n"
             "import rectrep.cli\n"
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            "heavy = {'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+            "loaded = [sorted(heavy & set(sys.modules))]\n"
+            "for argv in (['char', '--algebra', 'A1', '--rep', 'std'],\n"
+            "             ['char', '--algebra', 'A1'], ['--help']):\n"
+            "    rectrep.cli.main(argv)\n"
+            "loaded.append(sorted(heavy & set(sys.modules)))\n"
+            "sys.stderr.write(repr(loaded))\n")
     with timed(30.0):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert '"code":"usage"' in proc.stdout and "usage: rectrep" in proc.stdout
+    assert proc.stderr == repr([[], []])
 
 
 def test_catalogue_table_script_runs_without_an_install(tmp_path):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import time
+from random import Random
 
 import pytest
 
 from rectrep import catalogue_spec, iter_catalogue_items
 from rectrep.classify import roots_in_plane_census, verify_classification
-from rectrep.cli import (EXIT_CODES, EXIT_OK, ParseError, main, parse_algebra,
-                         parse_rep, render_spec)
+from rectrep.cli import (COMMANDS, EXIT_CODES, EXIT_OK, ParseError, _Help,
+                         _parse, _UsageError, main, parse_algebra, parse_rep,
+                         render_spec)
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -476,6 +481,75 @@ def test_argparse_usage_error_honours_pretty(capsys, pretty):
     message = "the following arguments are required: --rep"
     assert payload["error"] == {"code": "usage", "message": message}
     assert captured.err == message + "\n"
+
+
+def _outcome(parse, argv):
+    """A parser's reading of argv: ("ok", command, attributes but the
+    function, leftovers), ("usage", command, message) or ("help",)."""
+    try:
+        args, extras = parse(list(argv))
+    except _UsageError as e:
+        return ("usage", e.command, str(e))
+    except (_Help, SystemExit):
+        return ("help",)
+    attrs = {k: v for k, v in vars(args).items() if k != "func"}
+    return ("ok", args.command, attrs, extras)
+
+
+def _words(command):
+    """Each flag of a command in full, its unique prefixes, its '=v'
+    forms, ambiguous prefixes, unknown and odd options, and values."""
+    flags = ["-h", "--help"] + [o[0] for o in COMMANDS[command][2]]
+    prefixes = sorted({f[:n] for f in flags[1:] for n in range(3, len(f))})
+    unique = [p for p in prefixes if sum(f.startswith(p) for f in flags) == 1]
+    return list(dict.fromkeys(
+        flags + unique + [f + "=7" for f in flags]
+        + ["--max", "--max=3", "--=3", "--nope", "-x", "-hx", "-hh", "--",
+           "-", "7", "-3", "-3x", " 7", "lots", "a b", ""]))
+
+
+def test_parse_agrees_with_the_argparse_oracle(monkeypatch):
+    # the outcome is compared, not the help text argparse formats; its
+    # messages are compared untranslated, as the CLI writes them, which
+    # also spares gettext's catalogue search on every message
+    monkeypatch.setattr(oracles._Parser, "print_help", lambda *a: None)
+    monkeypatch.setattr(oracles.argparse, "_", str)
+    reference = oracles.build_parser().parse_known_args
+    corpus = [[], ["nope"], ["--nope", "char", "--algebra", "A1", "--rep",
+                             "std"], ["--", "char"], ["--"], ["-h"], ["--he"],
+              ["--help=1"], ["-hx", "char"], ["-3"], ["--nope"],
+              ["char", "--algebra=--", "--rep", "std", "--", "--rep"],
+              ["enumerate", "--max-dim=--"], ["verify-howe", "--max-d=3"],
+              ["census", "-h="], ["rect", "--pre", "--rep", "-a b"]]
+    for command in COMMANDS:
+        words = _words(command)
+        corpus += [[command]] + [[command, w] for w in words]
+        corpus += [[command, a, b] for a in words for b in words]
+    rng = Random(25)
+    alphabet = sorted(set(COMMANDS).union(*map(_words, COMMANDS)))
+    for _ in range(3000):
+        argv = [rng.choice(list(COMMANDS))] if rng.random() < 0.8 else []
+        corpus.append(argv + rng.choices(alphabet, k=rng.randrange(6)))
+    t0 = time.monotonic()
+    kinds = set()
+    for argv in corpus:
+        got = _outcome(_parse, argv)
+        assert got == _outcome(reference, argv), argv
+        kinds.add(got[0])
+    assert time.monotonic() - t0 < 2.0
+    assert kinds == {"ok", "usage", "help"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--he"], ["char", "-h"]])
+def test_help_prints_the_command_table(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    if argv[0] == "char":
+        names = ["--help"] + [o[0] for o in COMMANDS["char"][2]]
+    else:
+        names = list(COMMANDS)
+    assert all(name in captured.out for name in names)
+    assert captured.err == ""
 
 
 def _no_catalogue_match(monkeypatch):

@@ -8,11 +8,10 @@ variable that shares a method's name does not keep the method alive.
 Code that only tests call belongs in the test tree.  `__init__.py` only
 re-exports, so its imports and `__all__` count for nothing.
 
-Two definitions are exempt because their callers are outside `src/`:
+One definition is exempt because its callers are outside `src/`:
 `verify_certificate`, the certificate re-check that is independent of
 detection (the README documents it, the benchmark checks every
-certificate with it, and the detector deliberately does not call it),
-and `cli._Parser.error`, the override argparse calls on a usage error.
+certificate with it, and the detector deliberately does not call it).
 """
 
 import ast
@@ -22,7 +21,7 @@ from pathlib import Path
 import rectrep
 
 SRC = Path(rectrep.__file__).resolve().parent
-ENTRY_POINTS = {"verify_certificate", "_Parser.error"}
+ENTRY_POINTS = {"verify_certificate"}
 
 
 def _references(node) -> Counter:

@@ -34,6 +34,15 @@ RECORDS = {
 }
 
 
+# a field value each record's constructor rejects; FormalCharacter, _Kind
+# and Decomposition check none of their fields
+INVALID = {"SimpleType": {"rank": 0}, "SemisimpleAlgebra": {"factors": ()},
+           "RepSpec": {"summands": (((-1, 0), 1),)},
+           "WeightMultiset": {"dim": 3}, "RectCertificate": {"padding": -1},
+           "CatalogueItem": {"kind": "nope"}, "FormalCharacter": None,
+           "_Kind": None, "Decomposition": None}
+
+
 def _hash(obj):
     try:
         return hash(obj)
@@ -53,6 +62,20 @@ def test_record_is_its_field_tuple(name):
         setattr(rec, rec._fields[0], None)
     with pytest.raises(AttributeError):
         rec.extra = None
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_make_and_replace_check_fields_like_the_constructor(name):
+    rec = RECORDS[name]()
+    cls = type(rec)
+    for again in (cls._make(rec), rec._replace()):
+        assert type(again) is cls and again == rec
+    if INVALID[name] is None:
+        return
+    with pytest.raises(ValueError):
+        rec._replace(**INVALID[name])
+    with pytest.raises(ValueError):
+        cls._make({**rec._asdict(), **INVALID[name]}.values())
 
 
 def test_records_sort_by_their_fields():
@@ -75,6 +98,7 @@ def test_constructors_canonicalise():
     assert WeightMultiset(1, [((1,), 1), ((-1,), 1)]).points == (
         ((-1,), 1), ((1,), 1))
     assert FormalCharacter(alg).entries == {}
+    assert FormalCharacter._make((alg, None)).entries == {}
 
 
 def test_constructor_defaults_and_keywords():
