@@ -20,13 +20,17 @@ Freudenthal recursion and Weyl formula against their `Fraction` forms,
 of the weight count and orbit-union support against the Freudenthal
 character, and of the root-descent and axis scans of dominant weights
 against whole-box scans, on every dominant weight of dimension <= 512
-for the types of rank <= 4, the A1-pair box generator against the former
-walk over subsets of summands at budgets 512 and 1024, the closed-form
-A1 parts against the detector at budget 1024, the refined
-`canonical_form` against the minimum over every permutation on each spec
-at (4, 256), enumerated and from the closure, with its factors shuffled,
-and the enumerator against the prune-free subset search on each simple
-type of rank <= 4 at dimension 256. Exits nonzero if any check fails.
+for the types of rank <= 4, of the weight count the scan shares among
+the dominant weights against a fresh walk per weight at dimension
+<= 512 and <= 1024, of the integer Freudenthal recursion against its
+`Fraction` form on A1 sym 2000 and sym 2001, the A1-pair box generator
+against the former walk over subsets of summands at budgets 512 and
+1024, the closed-form A1 parts against the detector at budget 1024, the
+refined `canonical_form` against the minimum over every permutation on
+each spec at (4, 256), enumerated and from the closure, with its
+factors shuffled, and the enumerator against the prune-free subset
+search on each simple type of rank <= 4 at dimension 256. Exits nonzero
+if any check fails.
 """
 
 import argparse
@@ -90,7 +94,9 @@ def main() -> int:
                          "the greedy-vs-quadratic detector differential, "
                          "the integer-vs-Fraction character differential "
                          "(with the weight count, support and dominant "
-                         "weight scans), the A1-pair box-vs-walk "
+                         "weight scans), the shared-vs-per-weight weight "
+                         "count, the A1 sym 2000/2001 character "
+                         "differential, the A1-pair box-vs-walk "
                          "differential, the A1 closed-form check, the "
                          "canonical-form differential and the per-type "
                          "prune-free comparison")
@@ -207,12 +213,13 @@ def main() -> int:
 
         from rectrep import SemisimpleAlgebra, weyl_dimension
         from rectrep.charcalc import (_dominant_weights, _simple_character,
-                                      weight_count, weight_support)
-        from rectrep.classify import _dominant_weights_up_to_dim
+                                      weight_support)
+        from rectrep.classify import (_dominant_weights_up_to_dim,
+                                      _weight_counts)
         from oracles import (dominant_weights_box,
                              dominant_weights_up_to_dim_box,
                              dominant_weights_up_to_dim_fraction,
-                             simple_character_fraction,
+                             simple_character_fraction, weight_count,
                              weyl_dimension_fraction)
 
         t = time.monotonic()
@@ -223,14 +230,14 @@ def main() -> int:
             alg = SemisimpleAlgebra((st,))
             bad += (_dominant_weights_up_to_dim(st, 512)
                     != dominant_weights_up_to_dim_box(st, 512))
-            for hw in dominant_weights_up_to_dim_fraction(st, 512):
+            weights = dominant_weights_up_to_dim_fraction(st, 512)
+            for hw, count in zip(weights, _weight_counts(st, weights)):
                 n_weights += 1
                 char = _simple_character(st, hw)
                 dim = weyl_dimension(alg, hw)
                 if (char != simple_character_fraction(st, hw)
                         or dim != weyl_dimension_fraction(st, hw)
-                        or (weight_count(st, hw) == dim)
-                        != all(m == 1 for _, m in char)
+                        or (count == dim) != all(m == 1 for _, m in char)
                         or weight_support(st, hw) != {w for w, _ in char}
                         or _dominant_weights(st, hw)
                         != dominant_weights_box(st, hw)):
@@ -238,6 +245,29 @@ def main() -> int:
         all_ok &= check("integer vs Fraction characters, weight count, "
                         "support and dominant weight scans", bad == 0,
                         f"weights={n_weights} disagreements={bad} "
+                        f"({time.monotonic() - t:.1f}s)")
+
+        for dim in (512, 1024):
+            t = time.monotonic()
+            bad = n_weights = 0
+            for label in CHAR_TYPES:
+                st = SimpleType.parse(label)
+                weights = [hw for hw, _ in
+                           _dominant_weights_up_to_dim(st, dim)]
+                n_weights += len(weights)
+                bad += sum(count != weight_count(st, hw) for hw, count
+                           in zip(weights, _weight_counts(st, weights)))
+            all_ok &= check(f"shared vs per-weight weight count dim<={dim}",
+                            bad == 0, f"weights={n_weights} "
+                            f"disagreements={bad} "
+                            f"({time.monotonic() - t:.1f}s)")
+
+        t = time.monotonic()
+        a1 = SimpleType.parse("A1")
+        bad = sum(_simple_character(a1, hw) != simple_character_fraction(a1, hw)
+                  for hw in ((2000,), (2001,)))
+        all_ok &= check("integer vs Fraction characters A1 sym 2000, sym 2001",
+                        bad == 0, f"disagreements={bad} "
                         f"({time.monotonic() - t:.1f}s)")
 
         from rectrep.classify import _a1_pair_parts

@@ -7,9 +7,9 @@ Gi = n.G of each simple type, built once by `_root_data`; the scale n
 cancels in every quotient they take.  Their former `Fraction` forms are
 the test oracles in tests/oracles.py.  Characters of product algebras are
 assembled factor by factor and tensored, never computed by a
-product-algebra recursion.  The number and the set of distinct weights
-need no multiplicities: `weight_count` and `weight_support` read them
-off the dominant weights and their Weyl orbits.
+product-algebra recursion.  The set of distinct weights needs no
+multiplicities: `weight_support` reads it off the dominant weights and
+their Weyl orbits, and `_orbit_size` gives an orbit's size for counting.
 
 All character entries, and every highest weight, are fundamental-weight
 coordinate tuples; the algebra on the container fixes their meaning.  A
@@ -103,9 +103,10 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
 
     The weight set of an irreducible is saturated: every such mu is a
     weight, and every weight is a Weyl conjugate of one (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, 21.3).  Both
-    `weight_count` and `weight_support` rest on this, and so does
-    Freudenthal's `mult <= 0` check: a listed mu must come out positive.
+    Introduction to Lie Algebras and Representation Theory, 21.3).
+    `weight_support` and `classify._weight_counts` rest on this, and so
+    does Freudenthal's `mult <= 0` check: a listed mu must come out
+    positive.
     """
     n, _, roots = _root_data(t)
     d = symmetrizer(t)
@@ -127,23 +128,29 @@ def _dominant_weights(t: SimpleType, hw: IntVector) -> tuple[IntVector, ...]:
 def _orbit_size(t: SimpleType, pattern: IntVector) -> int:
     """|W.mu| for every dominant mu whose nonzero coordinates are pattern's.
 
-    The stabiliser of a dominant mu is the parabolic subgroup generated
-    by the simple reflections s_i with mu_i = 0, so the orbit size
-    depends on the zero pattern alone, and the 0/1 weight `pattern` is
-    one such mu.  At most 2^rank entries per type.
+    The stabiliser of a dominant mu is the parabolic subgroup W_J
+    generated by the simple reflections s_i with mu_i = 0, so the orbit
+    size |W| / |W_J| depends on the zero pattern alone.  The Weyl group
+    of a root system has order the product of (ht alpha + 1) / ht alpha
+    over its positive roots alpha (Macdonald's product formula for the
+    Poincare series of W, Math. Ann. 199, 1972, at t = 1).  W_J's roots
+    are the positive roots whose simple-root support lies in J, so
+    |W.mu| is that product over the other positive roots, and no orbit
+    is walked.  At most 2^rank entries per type.
     """
-    return len(weyl_orbit_coords(_single_algebra(t), pattern))
-
-
-def weight_count(t: SimpleType, hw: IntVector) -> int:
-    """Number of distinct weights of the irreducible with highest weight hw.
-
-    The weights are the disjoint union of the Weyl orbits of the dominant
-    weights (saturation, see `_dominant_weights`), so this is a sum of
-    orbit sizes; no multiplicity is computed.
-    """
-    return sum(_orbit_size(t, tuple(int(x > 0) for x in mu))
-               for mu in _dominant_weights(t, hw))
+    n, _, roots = _root_data(t)
+    d = symmetrizer(t)
+    num = den = 1
+    for _, galpha, _ in roots:
+        # simple-root coordinates C^-1.alpha = Gi.alpha / (n.d)
+        c = [x // (n * di) for x, di in zip(galpha, d)]
+        if any(ci and p for ci, p in zip(c, pattern)):
+            num *= sum(c) + 1
+            den *= sum(c)
+    size, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"orbit size of {pattern} came out non-integral")
+    return size
 
 
 def weight_support(t: SimpleType, hw: IntVector) -> frozenset[IntVector]:
@@ -163,6 +170,15 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
     nu = mu + k.alpha lies strictly above mu, so its dominant conjugate is
     shallower than mu and its orbit is already in the table (or nu is no
     weight): the string walk reads nu itself, with no reflection.
+
+    The sum over the alpha-string above mu is the tail T(mu + alpha),
+    T(nu) = sum over j >= 0 of m(nu + j.alpha) (nu + j.alpha, alpha),
+    and each tail is written once per root and shared by every mu whose
+    string passes through nu.  An entry, once written, is final: every
+    weight of the string from nu up lies strictly above the mu being
+    processed, so its multiplicity is already known, and root strings
+    are unbroken, so the first weight missing from the table ends the
+    string for good.
     """
     if any(x < 0 for x in hw):
         raise ValueError(f"highest weight {hw} is not dominant")
@@ -174,20 +190,31 @@ def _simple_character(t: SimpleType, hw: IntVector) -> tuple[tuple[IntVector, in
 
     top_norm = norm(tuple(x + 1 for x in hw))
     known: dict[IntVector, int] = {}
+    strings = [(alpha, galpha, vec_dot(alpha, galpha), {})
+               for alpha, galpha, _ in roots]
     for mu in _dominant_weights(t, hw):
         mult = 1
         if mu != hw:
             total = 0
-            for alpha, galpha, _ in roots:
-                ip, step = vec_dot(mu, galpha), vec_dot(alpha, galpha)
-                nu = mu
+            for alpha, galpha, step, tail in strings:
+                # climb to the first stored tail or the string's end, then
+                # store the tails of the weights climbed, top down
+                ip, nu, climbed = vec_dot(mu, galpha), mu, []
                 while True:
                     nu = tuple(a + b for a, b in zip(nu, alpha))
+                    ip += step
+                    acc = tail.get(nu)
+                    if acc is not None:
+                        break
                     m = known.get(nu)
                     if m is None:
+                        acc = 0
                         break
-                    ip += step
-                    total += m * ip
+                    climbed.append((nu, m * ip))
+                for nu, term in reversed(climbed):
+                    acc += term
+                    tail[nu] = acc
+                total += acc
             mult, rem = divmod(2 * total,
                                top_norm - norm(tuple(x + 1 for x in mu)))
             if rem or mult <= 0:

@@ -35,13 +35,14 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, prod
+from operator import sub
 
 from .exactlin import (random_unimodular, rank, rational_rref, vec_dot,
                        vec_neg)
 from .liealg import (SemisimpleAlgebra, SimpleType, ortho_coords,
                      positive_root_coords, record)
-from .charcalc import (FormalCharacter, RepSpec, character_of, dual_weight,
-                       is_faithful, restrict_to_factors, weight_count,
+from .charcalc import (FormalCharacter, RepSpec, _orbit_size, character_of,
+                       dual_weight, is_faithful, restrict_to_factors,
                        weight_support, weyl_dimension)
 from .rectkit import (detect_rectangular, detect_rectangular_points,
                       from_character, lengths, transform,
@@ -378,16 +379,54 @@ def multiplicity_free_irreps(t: SimpleType, max_dim: int
     """Dominant weights (incl. zero) with multiplicity-free character.
 
     No character is built.  V(lambda) has weyl_dimension(lambda) weights
-    counted with multiplicity and `weight_count` distinct ones, so it is
-    multiplicity free iff the two are equal.  The distinct weights are
-    the Weyl orbits of the dominant weights below lambda (the weight set
-    is saturated), and the orbit of a dominant mu has a size fixed by
-    which coordinates of mu are zero, since its stabiliser is the
-    parabolic subgroup those simple reflections generate; so the count
-    is a sum of cached orbit sizes, one per zero pattern.
+    counted with multiplicity and `_weight_counts` distinct ones, so it
+    is multiplicity free iff the two are equal.
     """
-    return tuple(coords for coords, dim in _dominant_weights_up_to_dim(t, max_dim)
-                 if weight_count(t, coords) == dim)
+    scan = _dominant_weights_up_to_dim(t, max_dim)
+    counts = _weight_counts(t, [lam for lam, _ in scan])
+    return tuple(lam for (lam, dim), count in zip(scan, counts)
+                 if count == dim)
+
+
+def _weight_counts(t: SimpleType, weights):
+    """The number of distinct weights of V(lambda), for each dominant
+    lambda in weights in turn.
+
+    The distinct weights are the Weyl orbits of the set D(lambda) of
+    dominant weights <= lambda (the weight set is saturated, see
+    `charcalc._dominant_weights`), so the count is a sum of orbit sizes,
+    each cached once per weight (`_orbit_size`).  D(lambda) is {lambda}
+    and the union of D(lambda - alpha) over the positive roots alpha
+    with lambda - alpha dominant: a dominant mu < lambda is joined to
+    lambda by a chain of dominant weights whose steps are positive roots
+    (Stembridge, Adv. Math. 136, 1998), so the chain's first step down
+    is such a lambda - alpha, and the union holds mu.  Each set is built
+    once, from its neighbours' sets, and shared by every lambda above
+    it.  The Weyl dimension is not monotone in the dominance order (A2's
+    (0,5) has dimension 21 and (1,3) = (0,5) - alpha_2 has 24), so a
+    neighbour need not be in weights: the sets are filled on demand from
+    an explicit stack, not by recursion, since a chain can be long (255
+    steps below A1's (511,)).
+    """
+    roots = positive_root_coords(t)
+    below: dict[tuple[int, ...], frozenset] = {}
+    size: dict[tuple[int, ...], int] = {}
+    for lam in weights:
+        stack = [lam]
+        while stack:
+            mu = stack[-1]
+            if mu in below:
+                stack.pop()
+                continue
+            down = [nu for alpha in roots
+                    if min(nu := tuple(map(sub, mu, alpha))) >= 0]
+            if todo := [nu for nu in down if nu not in below]:
+                stack += todo
+                continue
+            stack.pop()
+            below[mu] = frozenset((mu,)).union(*map(below.__getitem__, down))
+            size[mu] = _orbit_size(t, tuple(int(x > 0) for x in mu))
+        yield sum(map(size.__getitem__, below[lam]))
 
 
 @lru_cache(maxsize=None)

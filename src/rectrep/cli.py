@@ -559,8 +559,9 @@ def _scan(command: str, words: list, options: tuple):
             if read[i] is not None:
                 raise _UsageError(command, f"argument {name}: expected one argument")
             value, i = words[i], i + 1
-        try:  # a switch is True; argparse drops a '--' value, leaving []
-            values[name] = kind is None or ([] if value == "--" else kind(value))
+        try:  # a switch is True; '--opt=--' hands '--' to kind, where
+            # argparse gave the command []
+            values[name] = kind is None or kind(value)
         except ValueError:
             raise _UsageError(command, f"argument {name}: invalid {kind.__name__} "
                               f"value: {value!r}") from None
@@ -571,9 +572,10 @@ def _scan(command: str, words: list, options: tuple):
 
 
 def _parse(argv: list):
-    """Read a command line by the rules argparse applied to this CLI:
-    (namespace, leftover words).  A usage error raises _UsageError naming
-    the command that rejects it, and -h or --help raises _Help."""
+    """Read a command line by the rules argparse applied to this CLI, but
+    for '--opt=--', whose value is the string '--': (namespace, leftover
+    words).  A usage error raises _UsageError naming the command that
+    rejects it, and -h or --help raises _Help."""
     # the command is the first word that is not option-like
     k = next((i for i, w in enumerate(argv)
               if _read_option(w, _TOP, "rectrep") is None), len(argv))

@@ -15,9 +15,10 @@ and characters the split, the multiplicity-free scan as it was when
 it built every Freudenthal character rather than counting weights from
 the dominant ones, `canonical_form` as a minimum over every permutation
 of equal factors, and the dominant-weight scans over whole boxes before
-the root descent and the axis scan, and the CLI's argparse parser
-before its command table, are kept here as the references for
-differential tests.
+the root descent and the axis scan, the weight count that walked each
+weight's dominant weights from scratch before the scan shared them,
+and the CLI's argparse parser before its command table, are kept here
+as the references for differential tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from rectrep import (CatalogueMismatchError, Decomposition, NotFaithfulError,
                      is_multiplicity_free, iter_catalogue_items, lengths,
                      restrict_to_factors, weyl_dimension,
                      with_ambient_padding)
-from rectrep.charcalc import RepSpec, _cartan_inverse, _gram, _root_data
+from rectrep.charcalc import (RepSpec, _cartan_inverse, _dominant_weights,
+                              _gram, _orbit_size, _root_data)
 from rectrep.cli import (_UsageError, _cmd_census, _cmd_char, _cmd_decompose,
                          _cmd_enumerate, _cmd_rect, _cmd_verify_catalogue,
                          _cmd_verify_howe)
@@ -880,6 +882,18 @@ def dominant_weights_box(t: SimpleType, hw):
             found.append((sum(cc), mu))
     found.sort()
     return tuple(mu for _, mu in found)
+
+
+def weight_count(t: SimpleType, hw) -> int:
+    """Number of distinct weights of the irreducible with highest weight hw.
+
+    `classify._weight_counts` as it was before the scan shared its
+    dominant sets: one walk of `charcalc._dominant_weights` per weight,
+    then a sum of their Weyl orbit sizes (the weights are the disjoint
+    union of those orbits).
+    """
+    return sum(_orbit_size(t, tuple(int(x > 0) for x in mu))
+               for mu in _dominant_weights(t, hw))
 
 
 def dominant_weights_up_to_dim_box(t: SimpleType, max_dim: int):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from rectrep import (SemisimpleAlgebra, SimpleType, cartan_matrix,
                      is_faithful, is_multiplicity_free, restrict_to_factors,
                      weyl_dimension)
 from rectrep.charcalc import (AliasError, RepSpec, _cartan_inverse,
-                              _simple_character, resolve_alias)
+                              _orbit_size, _simple_character, resolve_alias)
 from rectrep.liealg import weyl_orbit_coords
 
 from oracles import (dominant_weights_up_to_dim_fraction,
@@ -285,3 +287,23 @@ def test_cartan_inverse_is_exact():
             assert [[sum(c[i][k] * cinv[k][j] for k in range(m))
                      for j in range(m)] for i in range(m)] == [
                 [int(i == j) for j in range(m)] for i in range(m)], t.label
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL_TYPES + ("A5", "B5", "D5"))
+def test_orbit_size_formula_matches_the_walked_orbit(label):
+    # the product over the roots off the stabiliser, for every zero
+    # pattern, against the orbit walked by simple reflections
+    t = SimpleType.parse(label)
+    alg = SemisimpleAlgebra((t,))
+    for pattern in product((0, 1), repeat=t.rank):
+        assert _orbit_size(t, pattern) == len(weyl_orbit_coords(alg, pattern))
+
+
+@pytest.mark.parametrize("label, order", [
+    ("A7", 40320), ("B6", 46080), ("C6", 46080), ("D6", 23040),
+    ("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("F4", 1152),
+    ("G2", 12)])
+def test_regular_orbit_size_is_the_weyl_group_order(label, order):
+    # a regular weight's orbit, too large to walk for E7 and E8
+    t = SimpleType.parse(label)
+    assert _orbit_size(t, (1,) * t.rank) == order

@@ -17,12 +17,11 @@ from rectrep import (CatalogueItem, CatalogueMismatchError, Decomposition,
                      multiplicity_free_irreps, roots_in_plane_census,
                      verify_classification, verify_howe, weyl_dimension,
                      with_ambient_padding)
-from rectrep.charcalc import (RepSpec, _dominant_weights, _simple_character,
-                              weight_count)
+from rectrep.charcalc import RepSpec, _dominant_weights, _simple_character
 from rectrep.classify import (_a1_pair_parts, _dominant_weights_up_to_dim,
                               _irrep_data, _primitive_normal,
                               _shuffle_factors, _simple_types_up_to,
-                              _single_factor_parts)
+                              _single_factor_parts, _weight_counts)
 from rectrep.exactlin import rational_rref, vec_dot
 from rectrep.liealg import SimpleType
 
@@ -36,7 +35,7 @@ from oracles import (TIED, a1_pair_parts_walk,
                      multiplicity_free_irreps_freudenthal,
                      prune_free_rectangular, random_specs,
                      random_symmetric_sets, symmetric_sets,
-                     tensor_summands, transpose_step)
+                     tensor_summands, transpose_step, weight_count)
 
 
 def spec_of(label, summands):
@@ -338,12 +337,36 @@ def test_weight_count_and_support_match_freudenthal(label):
     t = SimpleType.parse(label)
     alg = SemisimpleAlgebra((t,))
     flagged = multiplicity_free_irreps(t, 128)
-    for hw in dominant_weights_up_to_dim_fraction(t, 128):
+    weights = dominant_weights_up_to_dim_fraction(t, 128)
+    for hw, count in zip(weights, _weight_counts(t, weights)):
         char = irreducible_character(alg, hw)
-        assert weight_count(t, hw) == len(char.support)
+        assert count == weight_count(t, hw) == len(char.support)
         assert (hw in flagged) == is_multiplicity_free(char)
         assert _irrep_data(t, hw) == (char.support, char.mass)
     assert flagged == multiplicity_free_irreps_freudenthal(t, 128)
+
+
+@pytest.mark.parametrize("label", HOWE_TYPES + ("C4",))
+def test_shared_weight_count_matches_per_weight_walk(label):
+    # the scan shares each dominant set among the weights above it; the
+    # oracle walks every weight's dominant weights afresh
+    t = SimpleType.parse(label)
+    weights = [hw for hw, _ in _dominant_weights_up_to_dim(t, 256)]
+    assert list(_weight_counts(t, weights)) == [weight_count(t, hw)
+                                                for hw in weights]
+    # in reverse order the first weights fill the sets of the later ones
+    assert list(_weight_counts(t, weights[::-1])) == [
+        weight_count(t, hw) for hw in weights[::-1]]
+
+
+def test_weight_count_scan_follows_long_chains_without_recursion():
+    # below A1's (2001,) the sets are filled along one chain of 1000
+    # steps, more than Python's default recursion limit
+    a1 = SimpleType.parse("A1")
+    assert list(_weight_counts(a1, [(2001,)])) == [2002]
+    report = verify_howe(a1, 512)
+    assert report["ok"]
+    assert report["flagged"] == [(k,) for k in range(512)]
 
 
 @pytest.mark.parametrize("label", HOWE_TYPES + ("C4",))
